@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import hypoexp_weights, min_hypoexp_terms
+from .channel import bka_weight, hypoexp_weights, min_hypoexp_terms
 from .combinatorics import enumerate_compositions, multinomial, partial_fractions
 from .errors import InvalidRegimeError, UnsupportedClosedFormError
 from .metrics import LN2, sop
@@ -168,7 +168,7 @@ def esr_asymptote(scenario: Scenario, spec: SchemeSpec) -> EsrAsymptote:
         else:
             terms = []
             for n in range(1, n_tx + 1):
-                p_n = math.comb(n_tx, n) * (1.0 - s) ** (n_tx - n) * s**n
+                p_n = bka_weight(n_tx, n, s)
                 cs, ls = min_hypoexp_terms(n, lam_e)
                 terms.extend(
                     p_n * c * (_EULER - _exp_ei_neg(lam)) for c, lam in zip(cs, ls)
@@ -190,7 +190,7 @@ def esr_asymptote(scenario: Scenario, spec: SchemeSpec) -> EsrAsymptote:
         else:
             terms = []
             for n in range(1, n_tx + 1):
-                p_n = math.comb(n_tx, n) * (1.0 - s) ** (n_tx - n) * s**n
+                p_n = bka_weight(n_tx, n, s)
                 for q in range(1, n + 1):
                     cq = p_n * math.comb(n, q) * (-1.0) ** (q + 1)
                     terms.extend(

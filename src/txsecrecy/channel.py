@@ -5,18 +5,22 @@ hypoexponential with distinct rates; backhaul uncertainty turns both
 into Bernoulli-exponential mixtures with an explicit point mass at zero.
 The selection rules induce min/max order statistics whose multinomial /
 binomial expansions are precomputed here as (coefficient, rate) term
-tables reused by the exact metrics.
+tables reused by the exact metrics.  The MIN-ES expansion depends only
+on the number of i.i.d. draws n and the eavesdropper rates, so it is
+cached per (n, rates); the backhaul reliability s and the destination
+rate lambda_D enter the metrics only as scalar weights on these tables.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .combinatorics import enumerate_compositions, multinomial
+from .combinatorics import MULTINOMIAL_MAX_N, enumerate_compositions, multinomial
 from .errors import DomainError
 from .scenario import Scenario, check_rate_separation
 
@@ -64,9 +68,33 @@ def hypoexp_pdf(x: float, rates: Sequence[float]) -> float:
     return max(val, 0.0)  # clip roundoff from the alternating sum
 
 
+#: Below this value of x * max(rates), 1 - S(x) has cancelled to rounding
+#: noise (it reads 1.1e-16 at x = 0 for rates 1, 2, 5 and 0 just above),
+#: so :func:`hypoexp_cdf` sums its Taylor series instead.  There every
+#: series term is at most 0.5^j / j! of the first, so 20 terms suffice.
+_CDF_SERIES_BELOW = 0.5
+_CDF_SERIES_TERMS = 20
+
+
 def hypoexp_cdf(x: float, rates: Sequence[float]) -> float:
+    """CDF of the hypoexponential law, accurate to a few ulps as x -> 0.
+
+    Near zero, F(x) = prod_k r_k * sum_j (-x)^j h_j(r) x^K / (K + j)!,
+    with h_j the complete homogeneous symmetric polynomial of degree j
+    in the K rates.
+    """
     _require_nonneg(x)
     w = hypoexp_weights(rates)
+    if x * max(rates) < _CDF_SERIES_BELOW:
+        h = [1.0] + [0.0] * (_CDF_SERIES_TERMS - 1)
+        for r in rates:
+            for j in range(1, _CDF_SERIES_TERMS):
+                h[j] += r * h[j - 1]
+        k = len(rates)
+        series = math.fsum(
+            (-x) ** j * hj / math.factorial(k + j) for j, hj in enumerate(h)
+        )
+        return min(max(math.prod(rates) * x**k * series, 0.0), 1.0)
     sf = math.fsum(wk * math.exp(-rk * x) for wk, rk in zip(w, rates))
     return min(max(1.0 - sf, 0.0), 1.0)
 
@@ -126,6 +154,31 @@ class MixtureDist:
         return self.point_mass_at_zero + self.continuous_cdf(x)
 
 
+def bka_weight(n_tx: int, n: int, s: float) -> float:
+    """Probability C(N,n)(1-s)^(N-n) s^n that exactly n of N backhaul links are up."""
+    return math.comb(n_tx, n) * (1.0 - s) ** (n_tx - n) * s**n
+
+
+#: Term tables kept by :func:`min_hypoexp_terms`: three full BKA sets (one
+#: table per active count n = 1..N) for N up to MULTINOMIAL_MAX_N, so a
+#: sweep alternating between a few eavesdropper configurations keeps all
+#: of them.  The largest set (N = 20, K = 6) holds 230,229 terms, ~15 MB.
+TERM_TABLE_CACHE_SIZE = 3 * MULTINOMIAL_MAX_N
+
+
+def check_expansion_order(omega: int) -> None:
+    """Raise :class:`DomainError` if the min-of-``omega`` expansion is unsupported.
+
+    The multinomial coefficients are exact only up to
+    :data:`~txsecrecy.combinatorics.MULTINOMIAL_MAX_N` draws.
+    """
+    if omega > MULTINOMIAL_MAX_N:
+        raise DomainError(
+            f"the MIN-ES expansion supports at most {MULTINOMIAL_MAX_N} "
+            f"transmitters, got {omega}"
+        )
+
+
 def min_hypoexp_terms(omega: int, rates: Sequence[float]) -> tuple:
     """Term table of the min of ``omega`` i.i.d. hypoexponential draws.
 
@@ -134,7 +187,19 @@ def min_hypoexp_terms(omega: int, rates: Sequence[float]) -> tuple:
     i of omega into K parts, with c_i = multinomial * prod_k w_k^{i_k}
     and lam_i the inner product of the composition with the rates.
     Returns (coefficients, combined_rates) as parallel tuples.
+
+    The table depends on neither the backhaul reliability nor the
+    destination rate, which the metrics apply as scalar weights.  It is
+    built once per (omega, rates) and kept in a bounded cache of
+    :data:`TERM_TABLE_CACHE_SIZE` tables; callers share the returned
+    immutable tuples.
     """
+    check_expansion_order(omega)
+    return _min_hypoexp_table(omega, tuple(rates))
+
+
+@functools.lru_cache(maxsize=TERM_TABLE_CACHE_SIZE)
+def _min_hypoexp_table(omega: int, rates: tuple) -> tuple:
     w = hypoexp_weights(rates)
     coeffs, lams = [], []
     for comp in enumerate_compositions(omega, len(rates)):
@@ -173,7 +238,7 @@ def min_eave_sel_bka_terms(scenario: Scenario) -> tuple:
     s = scenario.backhaul_reliability
     coeffs, lams = [], []
     for n in range(1, n_tx + 1):
-        p_n = math.comb(n_tx, n) * (1.0 - s) ** (n_tx - n) * s**n
+        p_n = bka_weight(n_tx, n, s)
         cs, ls = min_hypoexp_terms(n, scenario.eave_rates)
         coeffs.extend(p_n * c for c in cs)
         lams.extend(ls)
@@ -221,7 +286,7 @@ def max_dest_sel_bka_cdf(x: float, scenario: Scenario) -> float:
     lam_d = scenario.dest_rate
     terms = []
     for n in range(1, n_tx + 1):
-        p_n = math.comb(n_tx, n) * (1.0 - s) ** (n_tx - n) * s**n
+        p_n = bka_weight(n_tx, n, s)
         for q in range(1, n + 1):
             terms.append(
                 p_n * math.comb(n, q) * (-1.0) ** (q + 1) * math.exp(-q * lam_d * x)

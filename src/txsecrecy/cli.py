@@ -33,7 +33,7 @@ from pathlib import Path
 from . import asymptotics, metrics
 from .errors import TxSecrecyError, UnsupportedClosedFormError
 from .montecarlo import MIN_TRIALS, McConfig, Metric, estimate_metrics
-from .scenario import Knowledge, Scenario, Scheme, SchemeSpec, scenario_from_db
+from .scenario import ALL_SPECS, Knowledge, Scenario, Scheme, SchemeSpec, scenario_from_db
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -115,13 +115,6 @@ PRESETS = {
 }
 
 _PRESET_SWEEP_DB = (0.0, 60.0, 2.0)
-
-_ALL_SPECS = tuple(
-    SchemeSpec(s, k)
-    for s in (Scheme.MIN_ES, Scheme.TTS, Scheme.OTS)
-    for k in (Knowledge.BKU, Knowledge.BKA)
-)
-
 
 # --------------------------------------------------------------------------
 # config parsing
@@ -306,7 +299,7 @@ def run_preset(name: str, out: Path, mc: McConfig | None, fmt: str,
         sweep = SweepSpec(
             variable="dest_snr_db",
             start=_PRESET_SWEEP_DB[0], stop=_PRESET_SWEEP_DB[1], step=_PRESET_SWEEP_DB[2],
-            specs=_ALL_SPECS, outputs=outputs,
+            specs=ALL_SPECS, outputs=outputs,
         )
         target = out.with_name(f"{out.stem}_{label}.{ext}")
         rc = run_sweep(scenario, sweep, target, mc=mc, fmt=fmt)
@@ -330,7 +323,7 @@ def run_verify(scenario: Scenario, mc: McConfig) -> int:
           f"s={scenario.backhaul_reliability} dest_snr={scenario.dest_snr_db:.1f} dB "
           f"R_th={scenario.threshold_rate} trials={mc.trials}")
     failures = 0
-    for spec in _ALL_SPECS:
+    for spec in ALL_SPECS:
         try:
             est = estimate_metrics(scenario, spec, mc)
             exact = {

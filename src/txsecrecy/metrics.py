@@ -17,7 +17,7 @@ from enum import Enum
 
 from scipy.integrate import quad
 
-from .channel import hypoexp_weights, min_eave_sel_bka_terms, min_hypoexp_terms
+from .channel import bka_weight, check_expansion_order, hypoexp_weights, min_hypoexp_terms
 from .errors import QuadratureError, UnsupportedClosedFormError
 from .scenario import Knowledge, Scenario, Scheme, SchemeSpec
 from .specfun import exp_scaled_ei
@@ -55,8 +55,14 @@ class EsrMethod(Enum):
 class RatioCdfEvaluator:
     """Evaluates F(y) of the post-selection SNR ratio for one scenario+scheme.
 
-    Term tables are precomputed at construction; evaluation is a pure
-    function of y and safe for concurrent use.
+    For MIN-ES and TTS, F(y) is a sum of exponential terms c_i * term(lam_i,
+    b_i, y), stored as a short tuple of parts (weight, coeffs, lams, b):
+    every term of a part has c_i = weight * coeffs[i], lam_i = lams[i] and
+    the same destination rate multiple b.  The MIN-ES coeffs/lams are the
+    term tables :func:`~txsecrecy.channel.min_hypoexp_terms` caches per
+    (n, eavesdropper rates) and are shared, never copied; s and lambda_D
+    enter only as the scalar weight and b of each part.  Evaluation is a
+    pure function of y and safe for concurrent use.
     """
 
     scenario: Scenario
@@ -64,51 +70,48 @@ class RatioCdfEvaluator:
 
     def __post_init__(self):
         sc, spec = self.scenario, self.spec
-        lam_e = sc.eave_rates
+        n_tx, s, lam_d, lam_e = sc.n_transmitters, sc.s, sc.dest_rate, sc.eave_rates
         if spec.scheme is Scheme.MIN_ES:
+            check_expansion_order(n_tx)
             if spec.knowledge is Knowledge.BKU:
-                coeffs, lams = min_hypoexp_terms(sc.n_transmitters, lam_e)
-                coeffs = tuple(sc.s * c for c in coeffs)
-                atom = 1.0 - sc.s
+                parts = ((s, *min_hypoexp_terms(n_tx, lam_e), lam_d),)
+                atom = 1.0 - s
             else:
-                coeffs, lams = min_eave_sel_bka_terms(sc)
-                atom = (1.0 - sc.s) ** sc.n_transmitters
+                # the minimum runs over the n active transmitters
+                parts = tuple(
+                    (bka_weight(n_tx, n, s), *min_hypoexp_terms(n, lam_e), lam_d)
+                    for n in range(1, n_tx + 1)
+                )
+                atom = (1.0 - s) ** n_tx
             # F(y) = atom + sum_i c_i [P(X_i >= x0) - J(lam_i, lam_D, y)]
-            object.__setattr__(self, "_coeffs", coeffs)
-            object.__setattr__(self, "_lams", lams)
-            object.__setattr__(self, "_bs", tuple(sc.dest_rate for _ in coeffs))
+            object.__setattr__(self, "_parts", parts)
             object.__setattr__(self, "_atom", atom)
         elif spec.scheme is Scheme.TTS:
             w = hypoexp_weights(lam_e)
-            coeffs, lams, bs = [], [], []
             if spec.knowledge is Knowledge.BKU:
-                for n in range(1, sc.n_transmitters + 1):
-                    cn = sc.s * math.comb(sc.n_transmitters, n) * (-1.0) ** (n + 1)
-                    for wk, lk in zip(w, lam_e):
-                        coeffs.append(cn * wk)
-                        lams.append(lk)
-                        bs.append(n * sc.dest_rate)
+                parts = tuple(
+                    (s * math.comb(n_tx, n) * (-1.0) ** (n + 1), w, lam_e, n * lam_d)
+                    for n in range(1, n_tx + 1)
+                )
             else:
-                for n in range(1, sc.n_transmitters + 1):
-                    p_n = (
-                        math.comb(sc.n_transmitters, n)
-                        * (1.0 - sc.s) ** (sc.n_transmitters - n)
-                        * sc.s**n
-                    )
-                    for q in range(1, n + 1):
-                        cq = p_n * math.comb(n, q) * (-1.0) ** (q + 1)
-                        for wk, lk in zip(w, lam_e):
-                            coeffs.append(cq * wk)
-                            lams.append(lk)
-                            bs.append(q * sc.dest_rate)
+                parts = tuple(
+                    (bka_weight(n_tx, n, s) * math.comb(n, q) * (-1.0) ** (q + 1),
+                     w, lam_e, q * lam_d)
+                    for n in range(1, n_tx + 1)
+                    for q in range(1, n + 1)
+                )
             # F(y) = P(SE >= x0) - sum c_i J(lam_i, b_i, y); the dead-backhaul
             # mass sits in the destination mixture, not in a separate atom.
-            object.__setattr__(self, "_coeffs", tuple(coeffs))
-            object.__setattr__(self, "_lams", tuple(lams))
-            object.__setattr__(self, "_bs", tuple(bs))
-            object.__setattr__(self, "_hypo_w", tuple(w))
+            object.__setattr__(self, "_parts", parts)
+            object.__setattr__(self, "_hypo_w", w)
         else:  # OTS: power forms of the single-link ratio CDF
             object.__setattr__(self, "_hypo_w", hypoexp_weights(lam_e))
+
+    def terms(self):
+        """Yield (c_i, lam_i, b_i) for every expanded term (MIN-ES and TTS)."""
+        for weight, coeffs, lams, b in self._parts:
+            for c, lam in zip(coeffs, lams):
+                yield weight * c, lam, b
 
     # -- single-link ratio CDF (OTS building block) --------------------
     def _single_link_cdf(self, y: float) -> float:
@@ -129,19 +132,28 @@ class RatioCdfEvaluator:
             w = self._hypo_w
             head = math.fsum(wk * _sf_at_x0(lk, y) for wk, lk in zip(w, sc.eave_rates))
             return ((1.0 - sc.s) * head + sc.s * g) ** sc.n_transmitters
+        # per-y invariants of _sf_at_x0 and _term_integral, hoisted out of
+        # the term loop, which reads the parts directly (through terms() it
+        # costs a third more); fsum is correctly rounded in any term order
+        x0 = max(0.0, 1.0 / y - 1.0)
+        ym1 = max(y - 1.0, 0.0)
+        exp = math.exp
         if spec.scheme is Scheme.MIN_ES:
             body = math.fsum(
-                c * (_sf_at_x0(lam, y) - _term_integral(lam, b, y))
-                for c, lam, b in zip(self._coeffs, self._lams, self._bs)
+                (weight * c)
+                * (exp(-lam * x0) - lam * exp(-b * ym1 - lam * x0) / (b * y + lam))
+                for weight, coeffs, lams, b in self._parts
+                for c, lam in zip(coeffs, lams)
             )
             return self._atom + body
         # TTS
         head = math.fsum(
-            wk * _sf_at_x0(lk, y) for wk, lk in zip(self._hypo_w, self.scenario.eave_rates)
+            wk * exp(-lk * x0) for wk, lk in zip(self._hypo_w, sc.eave_rates)
         )
         tail = math.fsum(
-            c * _term_integral(lam, b, y)
-            for c, lam, b in zip(self._coeffs, self._lams, self._bs)
+            (weight * c) * (lam * exp(-b * ym1 - lam * x0) / (b * y + lam))
+            for weight, coeffs, lams, b in self._parts
+            for c, lam in zip(coeffs, lams)
         )
         return head - tail
 
@@ -250,15 +262,11 @@ def esr_closed_form(scenario: Scenario, spec: SchemeSpec) -> float:
             "no closed-form ESR for OTS; use esr_quadrature"
         )
     ev = RatioCdfEvaluator(scenario, spec)
-    lam_d = scenario.dest_rate
-    terms = []
-    if spec.scheme is Scheme.MIN_ES:
-        for c, lam in zip(ev._coeffs, ev._lams):
-            terms.append(c * (exp_scaled_ei(lam + lam_d) - exp_scaled_ei(lam_d)))
-    else:  # TTS; b_i already carries the n (or q) multiple of lam_D
-        for c, lam, b in zip(ev._coeffs, ev._lams, ev._bs):
-            terms.append(c * (exp_scaled_ei(lam + b) - exp_scaled_ei(b)))
-    return max(math.fsum(terms) / LN2, 0.0)
+    # b_i is lambda_D for MIN-ES and the n (or q) multiple of it for TTS
+    total = math.fsum(
+        c * (exp_scaled_ei(lam + b) - exp_scaled_ei(b)) for c, lam, b in ev.terms()
+    )
+    return max(total / LN2, 0.0)
 
 
 def esr_quadrature(

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import txsecrecy as tx
+from txsecrecy import channel
 from txsecrecy.channel import (
     HypoexpDist,
     exp_cdf,
@@ -82,6 +84,19 @@ def test_hypoexp_cdf_monotone_and_bounded(x1, x2):
     assert 0.0 <= c1 <= c2 <= 1.0
 
 
+def test_hypoexp_cdf_near_zero_has_no_cancellation_noise():
+    # 1 - S(x) read 1.1e-16 at x = 0 and 0 just above it; the series
+    # keeps the leading behaviour prod(r) x^K / K!
+    assert hypoexp_cdf(0.0, RATES) == 0.0
+    for x in (1e-100, 1e-12, 1e-6, 1e-3):
+        lead = 10.0 * x**3 * (1.0 / 6.0 - x * 8.0 / 24.0)
+        assert hypoexp_cdf(x, RATES) == pytest.approx(lead, rel=1e-5)
+    # both routes agree where they meet, x * max(rates) = 0.5
+    edge = 0.5 / max(RATES)
+    below, above = hypoexp_cdf(edge * (1 - 1e-12), RATES), hypoexp_cdf(edge, RATES)
+    assert below <= above == pytest.approx(below, rel=1e-10)
+
+
 def test_hypoexp_dist_mean_and_rvs():
     dist = HypoexpDist(RATES)
     assert dist.mean == pytest.approx(1.0 + 0.5 + 0.2, rel=1e-14)
@@ -113,6 +128,64 @@ def test_min_hypoexp_terms_is_survival_power():
 def test_min_hypoexp_terms_coefficients_sum_to_one():
     coeffs, _ = min_hypoexp_terms(5, RATES)
     assert math.fsum(coeffs) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_min_hypoexp_terms_is_built_once_per_order_and_rates(monkeypatch):
+    # the expansion depends on neither s nor lambda_D: a dest-SNR x s sweep
+    # of both MIN-ES cases at fixed (N, K) builds one table per n = 1..N
+    n_tx, k = 5, 3
+    built = []
+    real = channel.multinomial
+    monkeypatch.setattr(
+        channel, "multinomial", lambda n, parts: built.append(n) or real(n, parts)
+    )
+    channel._min_hypoexp_table.cache_clear()
+    for s in (0.3, 0.9, 1.0):
+        for db in (0.0, 20.0, 40.0):
+            sc = make_scenario(n=n_tx, k=k, s=s, dest_db=db)
+            for kn in tx.Knowledge:
+                spec = tx.SchemeSpec(tx.Scheme.MIN_ES, kn)
+                tx.sop(sc, spec)
+                tx.nzsr(sc, spec)
+    info = channel._min_hypoexp_table.cache_info()
+    assert (info.misses, info.currsize) == (n_tx, n_tx)
+    # one multinomial per composition of each n into K parts
+    assert len(built) == sum(math.comb(n + k - 1, k - 1) for n in range(1, n_tx + 1))
+    assert set(built) == set(range(1, n_tx + 1))
+
+
+def test_term_table_cache_holds_a_full_bka_set():
+    n_tx = channel.MULTINOMIAL_MAX_N
+    spec = tx.SchemeSpec(tx.Scheme.MIN_ES, tx.Knowledge.BKA)
+    channel._min_hypoexp_table.cache_clear()
+    for s in (0.5, 0.9):
+        tx.sop(tx.scenario_from_db(n_tx, 1, s, 20.0, (13.0,)), spec)
+    assert channel._min_hypoexp_table.cache_info().misses == n_tx
+
+
+def test_min_hypoexp_terms_are_shared_and_immutable():
+    coeffs, lams = min_hypoexp_terms(4, RATES)
+    again = min_hypoexp_terms(4, list(RATES))
+    assert again[0] is coeffs and again[1] is lams
+    with pytest.raises(TypeError):
+        coeffs[0] = 0.0
+    with pytest.raises(TypeError):
+        lams[0] = 0.0
+    # evaluating metrics with the shared table leaves it unchanged
+    sc = make_scenario(n=4, k=3, s=0.5)
+    table = min_hypoexp_terms(4, sc.eave_rates)
+    snapshot = tuple(tuple(v.hex() for v in col) for col in table)
+    for kn in tx.Knowledge:
+        spec = tx.SchemeSpec(tx.Scheme.MIN_ES, kn)
+        tx.sop(sc, spec)
+        tx.esr_closed_form(sc, spec)
+    assert min_hypoexp_terms(4, sc.eave_rates) is table
+    assert tuple(tuple(v.hex() for v in col) for col in table) == snapshot
+
+
+def test_min_hypoexp_terms_refuses_unsupported_order():
+    with pytest.raises(DomainError):
+        min_hypoexp_terms(channel.MULTINOMIAL_MAX_N + 1, RATES)
 
 
 def test_min_eave_sel_cdf_matches_power_form():

@@ -83,6 +83,29 @@ def test_sweep_output_is_byte_stable(scen_file, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_sweep_min_es_beyond_expansion_order_is_a_numeric_failure(tmp_path, capsys):
+    # N=21 exceeds the MIN-ES expansion; the other schemes still evaluate
+    scen = tmp_path / "n21.ini"
+    scen.write_text(
+        "[scenario]\nn_transmitters = 21\nn_eavesdroppers = 1\n"
+        "backhaul_reliability = 0.9\ndest_snr_db = 20\neave_snr_db = 13\n"
+        "threshold_rate = 1.0\n\n[sweep]\nvariable = dest_snr_db\n"
+        "start = 10\nstop = 20\nstep = 10\noutputs = sop, nzsr\n"
+    )
+    out = tmp_path / "n21.csv"
+    rc = cli.main(["sweep", "--scenario", str(scen), "--out", str(out)])
+    assert rc == cli.EXIT_NUMERIC
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2 * 6 * 2
+    for row in rows:
+        if row["scheme"] == "MIN_ES":
+            assert row["exact"] == ""
+        else:
+            assert 0.0 <= float(row["exact"]) <= 1.0
+    assert "MIN-ES expansion" in capsys.readouterr().err
+
+
 def test_sweep_json_and_metric_override(scen_file, tmp_path):
     out = tmp_path / "out.json"
     rc = cli.main([

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import txsecrecy as tx
-from txsecrecy import ALL_SPECS, Knowledge, Scheme, SchemeSpec
-from txsecrecy.metrics import RatioCdfEvaluator
+from txsecrecy import ALL_SPECS, Knowledge, Scheme, SchemeSpec, channel
+from txsecrecy.metrics import LN2, RatioCdfEvaluator, _sf_at_x0, _term_integral
+from txsecrecy.specfun import exp_scaled_ei
 
 from conftest import make_scenario
 
@@ -167,3 +168,76 @@ def test_secrecy_report_consistency():
             else tx.EsrMethod.CLOSED_FORM
         )
         assert rep.esr_method is expected
+
+
+def _concatenated_table(sc, spec):
+    """(coeffs, lams, bs) of F's terms as one flat table, scalar weights folded in."""
+    n_tx, s, lam_d = sc.n_transmitters, sc.s, sc.dest_rate
+    if spec.scheme is Scheme.MIN_ES:
+        if spec.knowledge is Knowledge.BKU:
+            cs, lams = channel.min_hypoexp_terms(n_tx, sc.eave_rates)
+            coeffs = [s * c for c in cs]
+        else:
+            coeffs, lams = channel.min_eave_sel_bka_terms(sc)
+        return list(coeffs), list(lams), [lam_d] * len(coeffs)
+    w = channel.hypoexp_weights(sc.eave_rates)
+    coeffs, lams, bs = [], [], []
+    for n in range(1, n_tx + 1):
+        if spec.knowledge is Knowledge.BKU:
+            mults = [(s * math.comb(n_tx, n) * (-1.0) ** (n + 1), n)]
+        else:
+            p_n = math.comb(n_tx, n) * (1.0 - s) ** (n_tx - n) * s**n
+            mults = [(p_n * math.comb(n, q) * (-1.0) ** (q + 1), q) for q in range(1, n + 1)]
+        for cq, q in mults:
+            for wk, lk in zip(w, sc.eave_rates):
+                coeffs.append(cq * wk)
+                lams.append(lk)
+                bs.append(q * lam_d)
+    return coeffs, lams, bs
+
+
+@pytest.mark.parametrize("scheme", [Scheme.MIN_ES, Scheme.TTS], ids=lambda s: s.name)
+@pytest.mark.parametrize("kn", list(Knowledge), ids=lambda k: k.name)
+def test_streamed_parts_match_concatenated_table_exactly(scheme, kn):
+    # the per-part weights give the same floating-point operations as the
+    # flat table with the weights folded into each coefficient
+    spec = SchemeSpec(scheme, kn)
+    sc = make_scenario(n=12, k=6, s=0.7, dest_db=30.0)
+    ev = RatioCdfEvaluator(sc, spec)
+    coeffs, lams, bs = _concatenated_table(sc, spec)
+    assert list(ev.terms()) == list(zip(coeffs, lams, bs))
+    for y in (0.25, 0.9, 1.0, 1.5, 2.0, 7.0, 40.0):
+        if scheme is Scheme.MIN_ES:
+            atom = 1.0 - sc.s if kn is Knowledge.BKU else (1.0 - sc.s) ** 12
+            want = atom + math.fsum(
+                c * (_sf_at_x0(lam, y) - _term_integral(lam, b, y))
+                for c, lam, b in zip(coeffs, lams, bs)
+            )
+        else:
+            head = math.fsum(
+                wk * _sf_at_x0(lk, y)
+                for wk, lk in zip(channel.hypoexp_weights(sc.eave_rates), sc.eave_rates)
+            )
+            want = head - math.fsum(
+                c * _term_integral(lam, b, y) for c, lam, b in zip(coeffs, lams, bs)
+            )
+        assert ev._closed_form(y) == want
+    esr = math.fsum(
+        c * (exp_scaled_ei(lam + b) - exp_scaled_ei(b)) for c, lam, b in zip(coeffs, lams, bs)
+    )
+    assert tx.esr_closed_form(sc, spec) == max(esr / LN2, 0.0)
+
+
+@pytest.mark.parametrize("kn", list(Knowledge), ids=lambda k: k.name)
+def test_min_es_beyond_expansion_order_raises_domain_error(kn):
+    n_tx = channel.MULTINOMIAL_MAX_N + 1
+    sc = tx.scenario_from_db(n_tx, 1, 0.9, 20.0, (13.0,), threshold_rate=1.0)
+    channel._min_hypoexp_table.cache_clear()
+    with pytest.raises(tx.DomainError):
+        RatioCdfEvaluator(sc, SchemeSpec(Scheme.MIN_ES, kn))
+    with pytest.raises(tx.DomainError):
+        tx.esr_closed_form(sc, SchemeSpec(Scheme.MIN_ES, kn))
+    # refused before any table is expanded
+    assert channel._min_hypoexp_table.cache_info().misses == 0
+    for scheme in (Scheme.TTS, Scheme.OTS):
+        assert 0.0 <= tx.sop(sc, SchemeSpec(scheme, kn)) <= 1.0
