@@ -38,7 +38,7 @@ from .metrics import (
     secrecy_report,
     sop,
 )
-from .montecarlo import McConfig, McEstimate, Metric, estimate, estimate_metrics
+from .montecarlo import McConfig, McEstimate, Metric, estimate, estimate_many, estimate_metrics
 from .scenario import (
     ALL_SPECS,
     Knowledge,
@@ -84,6 +84,7 @@ __all__ = [
     "esr_high_snr_ots",
     "esr_quadrature",
     "estimate",
+    "estimate_many",
     "estimate_metrics",
     "jitter_rates",
     "nzsr",

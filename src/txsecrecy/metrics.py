@@ -107,6 +107,10 @@ class RatioCdfEvaluator:
         else:  # OTS: power forms of the single-link ratio CDF
             object.__setattr__(self, "_hypo_w", hypoexp_weights(lam_e))
 
+    def parts(self) -> tuple:
+        """The (weight, coeffs, lams, b) parts of the expansion (MIN-ES and TTS)."""
+        return self._parts
+
     def terms(self):
         """Yield (c_i, lam_i, b_i) for every expanded term (MIN-ES and TTS)."""
         for weight, coeffs, lams, b in self._parts:
@@ -261,12 +265,13 @@ def esr_closed_form(scenario: Scenario, spec: SchemeSpec) -> float:
         raise UnsupportedClosedFormError(
             "no closed-form ESR for OTS; use esr_quadrature"
         )
-    ev = RatioCdfEvaluator(scenario, spec)
-    # b_i is lambda_D for MIN-ES and the n (or q) multiple of it for TTS
-    total = math.fsum(
-        c * (exp_scaled_ei(lam + b) - exp_scaled_ei(b)) for c, lam, b in ev.terms()
-    )
-    return max(total / LN2, 0.0)
+    terms = []
+    for weight, coeffs, lams, b in RatioCdfEvaluator(scenario, spec).parts():
+        # b is lambda_D for MIN-ES and the n (or q) multiple of it for TTS,
+        # the same for every term of the part
+        eb = exp_scaled_ei(b)
+        terms.extend((weight * c) * (exp_scaled_ei(lam + b) - eb) for c, lam in zip(coeffs, lams))
+    return max(math.fsum(terms) / LN2, 0.0)
 
 
 def esr_quadrature(

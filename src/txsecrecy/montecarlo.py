@@ -11,6 +11,9 @@ how batches are scheduled.
 Fades are drawn in a fixed order independent of the scheme, so
 estimates for different schemes under the same seed share the same
 channel realizations (paired comparisons are exact).
+:func:`estimate_many` draws each batch once and scores every requested
+(scheme, knowledge) case on it; :func:`estimate_metrics` is its
+one-case form and gives the same bits.
 """
 
 from __future__ import annotations
@@ -72,13 +75,13 @@ def _draw_fades(scenario: Scenario, rng: np.random.Generator, size: int):
     return gamma_d, gamma_e, active
 
 
-def _secrecy_rates(spec: SchemeSpec, gamma_d, gamma_e, active) -> np.ndarray:
+def _secrecy_rates(spec: SchemeSpec, ratio, gamma_d, gamma_e, active) -> np.ndarray:
     """Per-trial achieved secrecy rates for one selection rule.
 
-    Ties in the selection break toward the lowest transmitter index
-    (argmin/argmax first occurrence).
+    ``ratio`` is (1 + gamma_d) / (1 + gamma_e), computed once per batch
+    and shared by every rule.  Ties in the selection break toward the
+    lowest transmitter index (argmin/argmax first occurrence).
     """
-    ratio = (1.0 + gamma_d) / (1.0 + gamma_e)
     if spec.scheme is Scheme.MIN_ES:
         criterion, pick_max = gamma_e, False
     elif spec.scheme is Scheme.TTS:
@@ -101,40 +104,19 @@ def _secrecy_rates(spec: SchemeSpec, gamma_d, gamma_e, active) -> np.ndarray:
     return rates
 
 
-def draw_trial(scenario: Scenario, spec: SchemeSpec, rng: np.random.Generator):
-    """One trial: (secrecy_rate, outage_at_threshold)."""
-    gamma_d, gamma_e, active = _draw_fades(scenario, rng, 1)
-    rate = float(_secrecy_rates(spec, gamma_d, gamma_e, active)[0])
-    return rate, rate <= scenario.threshold_rate
+def _tally(rates: np.ndarray, threshold: float) -> tuple:
+    """(outages, positive rates, rate sum, rate sum of squares) of one batch."""
+    return (
+        int(np.count_nonzero(rates <= threshold)),
+        int(np.count_nonzero(rates > 0.0)),
+        float(rates.sum()),
+        float(np.square(rates).sum()),
+    )
 
 
-def estimate_metrics(
-    scenario: Scenario, spec: SchemeSpec, config: McConfig
-) -> dict:
-    """All three metrics from a single pass over the trials.
-
-    Returns a dict mapping :class:`Metric` to :class:`McEstimate`.
-    """
-    trials = config.trials
-    n_outage = 0
-    n_positive = 0
-    rate_sum = 0.0
-    rate_sumsq = 0.0
-
-    done = 0
-    batch_index = 0
-    while done < trials:
-        b = min(config.batch_size, trials - done)
-        rng = _batch_rng(config.seed, batch_index)
-        gamma_d, gamma_e, active = _draw_fades(scenario, rng, b)
-        rates = _secrecy_rates(spec, gamma_d, gamma_e, active)
-        n_outage += int(np.count_nonzero(rates <= scenario.threshold_rate))
-        n_positive += int(np.count_nonzero(rates > 0.0))
-        rate_sum += float(rates.sum())
-        rate_sumsq += float(np.square(rates).sum())
-        done += b
-        batch_index += 1
-
+def _estimates(n_outage: int, n_positive: int, rate_sum: float, rate_sumsq: float,
+               trials: int, seed: int) -> dict:
+    """Metric -> McEstimate from the run totals of one spec."""
     out = {}
     for metric, count in ((Metric.SOP, n_outage), (Metric.NZSR, n_positive)):
         p = count / trials
@@ -143,7 +125,7 @@ def estimate_metrics(
             std_error=math.sqrt(p * (1.0 - p) / trials),
             trials=trials,
             metric=metric,
-            seed=config.seed,
+            seed=seed,
         )
     mean = rate_sum / trials
     var = max(rate_sumsq / trials - mean * mean, 0.0) * trials / (trials - 1)
@@ -152,9 +134,41 @@ def estimate_metrics(
         std_error=math.sqrt(var / trials),
         trials=trials,
         metric=Metric.ESR,
-        seed=config.seed,
+        seed=seed,
     )
     return out
+
+
+def estimate_many(scenario: Scenario, specs, config: McConfig) -> dict:
+    """All three metrics for every spec from a single pass over shared fades.
+
+    Each batch is drawn once and scored under every spec in ``specs``
+    (duplicates collapse into one entry).  Returns a dict mapping each
+    spec to a dict mapping :class:`Metric` to :class:`McEstimate`.
+    """
+    totals = dict.fromkeys(specs, (0, 0, 0.0, 0.0))
+    done = 0
+    batch_index = 0
+    while done < config.trials:
+        b = min(config.batch_size, config.trials - done)
+        gamma_d, gamma_e, active = _draw_fades(scenario, _batch_rng(config.seed, batch_index), b)
+        ratio = (1.0 + gamma_d) / (1.0 + gamma_e)
+        for spec in totals:
+            counts = _tally(_secrecy_rates(spec, ratio, gamma_d, gamma_e, active),
+                            scenario.threshold_rate)
+            totals[spec] = tuple(t + c for t, c in zip(totals[spec], counts))
+        # free this batch before the next one is drawn
+        del gamma_d, gamma_e, active, ratio
+        done += b
+        batch_index += 1
+    return {spec: _estimates(*t, config.trials, config.seed) for spec, t in totals.items()}
+
+
+def estimate_metrics(
+    scenario: Scenario, spec: SchemeSpec, config: McConfig
+) -> dict:
+    """All three metrics for one spec; see :func:`estimate_many`."""
+    return estimate_many(scenario, (spec,), config)[spec]
 
 
 def estimate(

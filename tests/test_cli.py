@@ -4,6 +4,7 @@ import json
 import pytest
 
 from txsecrecy import cli
+from txsecrecy.errors import RateSeparationError
 from txsecrecy.scenario import Knowledge, Scheme
 
 SCEN = """
@@ -202,6 +203,56 @@ def test_verify_passes(scen_file, capsys):
     assert rc == 0
     text = capsys.readouterr().out
     assert "18/18 checks passed" in text
+
+
+# N=10, s=0.9, 30 dB: TTS-BKA and OTS-BKA outages (exact SOP 4.8e-9 and
+# 1.2e-9) are too rare to appear in any feasible number of trials
+N10K3 = """
+[scenario]
+n_transmitters = 10
+n_eavesdroppers = 3
+backhaul_reliability = 0.9
+dest_snr_db = 30
+eave_snr_db = 6, 9, 13
+"""
+
+
+@pytest.fixture()
+def n10k3_file(tmp_path):
+    p = tmp_path / "n10k3.ini"
+    p.write_text(N10K3)
+    return p
+
+
+def test_verify_passes_with_zero_observed_outages(n10k3_file, capsys):
+    rc = cli.main(["verify", "--scenario", str(n10k3_file), "--trials", "50000"])
+    text = capsys.readouterr().out
+    assert "TTS-BKA      sop   exact=4.803299e-09 mc=0.000000e+00 +- 0.0e+00  PASS" in text
+    assert "18/18 checks passed" in text
+    assert rc == cli.EXIT_OK
+
+
+def test_verify_still_fails_a_wrong_rare_event_value(n10k3_file, capsys, monkeypatch):
+    exact_sop = cli.metrics.sop
+    monkeypatch.setattr(cli.metrics, "sop", lambda sc, spec: exact_sop(sc, spec) + 0.01)
+    rc = cli.main(["verify", "--scenario", str(n10k3_file), "--trials", "50000"])
+    text = capsys.readouterr().out
+    assert rc == cli.EXIT_VERIFY
+    assert text.count(" sop ") == 6
+    assert all(line.endswith("FAIL") for line in text.splitlines() if " sop " in line)
+    assert "12/18 checks passed" in text
+
+
+def test_verify_rate_separation_error_prints_hint(scen_file, capsys, monkeypatch):
+    def refuse(sc, spec):
+        raise RateSeparationError("coincident pole locations")
+
+    monkeypatch.setattr(cli.metrics, "sop", refuse)
+    rc = cli.main(["verify", "--scenario", str(scen_file), "--trials", "20000"])
+    text = capsys.readouterr().out
+    assert rc == cli.EXIT_NUMERIC
+    assert "MIN-ES-BKU   ERROR: coincident pole locations" in text
+    assert "perturb them with txsecrecy.jitter_rates" in text
 
 
 def test_verify_refuses_low_trials(scen_file):

@@ -228,6 +228,25 @@ def test_streamed_parts_match_concatenated_table_exactly(scheme, kn):
     assert tx.esr_closed_form(sc, spec) == max(esr / LN2, 0.0)
 
 
+@pytest.mark.parametrize("scheme", [Scheme.MIN_ES, Scheme.TTS], ids=lambda s: s.name)
+@pytest.mark.parametrize("kn", list(Knowledge), ids=lambda k: k.name)
+def test_esr_closed_form_evaluates_shared_factor_once_per_part(scheme, kn, monkeypatch):
+    # e^b Ei(-b) is the same for every term of a part; taking it once per
+    # part must give the bits of the per-term sum
+    spec = SchemeSpec(scheme, kn)
+    calls = []
+    monkeypatch.setattr(tx.metrics, "exp_scaled_ei", lambda x: calls.append(x) or exp_scaled_ei(x))
+    for s, db in ((0.3, 10.0), (0.9, 40.0)):
+        sc = make_scenario(n=12, k=6, s=s, dest_db=db)
+        ev = RatioCdfEvaluator(sc, spec)
+        per_term = math.fsum(
+            c * (exp_scaled_ei(lam + b) - exp_scaled_ei(b)) for c, lam, b in ev.terms()
+        )
+        calls.clear()
+        assert tx.esr_closed_form(sc, spec).hex() == max(per_term / LN2, 0.0).hex()
+        assert len(calls) == len(ev.parts()) + sum(1 for _ in ev.terms())
+
+
 @pytest.mark.parametrize("kn", list(Knowledge), ids=lambda k: k.name)
 def test_min_es_beyond_expansion_order_raises_domain_error(kn):
     n_tx = channel.MULTINOMIAL_MAX_N + 1

@@ -3,7 +3,8 @@ import pytest
 
 import txsecrecy as tx
 from txsecrecy import ALL_SPECS, Knowledge, McConfig, Metric, Scheme, SchemeSpec
-from txsecrecy.montecarlo import _batch_rng, draw_trial, estimate_metrics
+from txsecrecy import montecarlo
+from txsecrecy.montecarlo import _batch_rng, estimate_many, estimate_metrics
 
 from conftest import make_scenario
 
@@ -44,14 +45,6 @@ def test_batch_rng_is_splittable():
     r1 = _batch_rng(5, 1).random(4)
     assert not np.allclose(r0, r1)
     assert np.allclose(r0, _batch_rng(5, 0).random(4))
-
-
-def test_draw_trial_shape():
-    rng = np.random.default_rng(0)
-    sc = make_scenario(rth=1.0)
-    rate, outage = draw_trial(sc, SchemeSpec(Scheme.OTS, Knowledge.BKU), rng)
-    assert rate >= 0.0
-    assert outage == (rate <= 1.0)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label)
@@ -110,3 +103,39 @@ def test_stderr_scales_with_trials():
     large = estimate_metrics(sc, spec, McConfig(trials=160_000, seed=1))
     ratio = small[Metric.ESR].std_error / large[Metric.ESR].std_error
     assert ratio == pytest.approx(4.0, rel=0.2)
+
+
+# 45,000 trials in batches of 10,000: four whole batches and a partial one
+_UNEVEN = McConfig(trials=45_000, seed=21, batch_size=10_000)
+
+
+def test_estimate_many_matches_one_spec_at_a_time():
+    sc = make_scenario(n=4, k=3, s=0.6)
+    many = estimate_many(sc, ALL_SPECS, _UNEVEN)
+    assert list(many) == list(ALL_SPECS)
+    for spec in ALL_SPECS:
+        assert many[spec] == estimate_metrics(sc, spec, _UNEVEN)
+        assert all(e.trials == 45_000 and e.seed == 21 for e in many[spec].values())
+
+
+@pytest.mark.parametrize("specs", [ALL_SPECS[:1], ALL_SPECS], ids=["one", "six"])
+def test_fades_are_drawn_once_per_batch(specs, monkeypatch):
+    calls = []
+    draw = montecarlo._draw_fades
+
+    def counting(scenario, rng, size):
+        calls.append(size)
+        return draw(scenario, rng, size)
+
+    monkeypatch.setattr(montecarlo, "_draw_fades", counting)
+    estimate_many(make_scenario(n=3, k=2), specs, _UNEVEN)
+    assert calls == [10_000] * 4 + [5_000]
+
+
+def test_duplicate_specs_give_one_entry():
+    sc = make_scenario(n=3, k=2, s=0.8)
+    tts, ots = SchemeSpec(Scheme.TTS, Knowledge.BKA), SchemeSpec(Scheme.OTS, Knowledge.BKU)
+    many = estimate_many(sc, (tts, ots, tts), _UNEVEN)
+    assert list(many) == [tts, ots]
+    assert many[tts] == estimate_metrics(sc, tts, _UNEVEN)
+    assert many[ots] == estimate_metrics(sc, ots, _UNEVEN)
