@@ -15,15 +15,15 @@ cfg = McConfig(trials=500_000, seed=42)
 
 print(f"{cfg.trials} trials, seed {cfg.seed}\n")
 print(f"{'case':<12} {'metric':<5} {'exact':>12} {'mc':>12} {'stderr':>10} {'z':>6}")
+estimates = tx.estimate_many(sc, ALL_SPECS, cfg)  # one draw per batch for all six cases
 for spec in ALL_SPECS:
     exact = {
         Metric.SOP: tx.sop(sc, spec),
         Metric.NZSR: tx.nzsr(sc, spec),
         Metric.ESR: tx.esr_quadrature(sc, spec),
     }
-    est = tx.estimate_metrics(sc, spec, cfg)
     for metric in Metric:
-        e = est[metric]
+        e = estimates[spec][metric]
         z = (e.mean - exact[metric]) / e.std_error
         print(f"{spec.label:<12} {metric.value:<5} {exact[metric]:12.6f} "
               f"{e.mean:12.6f} {e.std_error:10.2e} {z:+6.2f}")

@@ -109,6 +109,23 @@ def test_stderr_scales_with_trials():
 _UNEVEN = McConfig(trials=45_000, seed=21, batch_size=10_000)
 
 
+def _one_draw_per_spec(sc, spec, cfg):
+    """Reference: SOP, NZSR and ESR means with the fades drawn for this spec alone."""
+    n_outage = n_positive = 0
+    rate_sum = 0.0
+    done = batch_index = 0
+    while done < cfg.trials:
+        b = min(cfg.batch_size, cfg.trials - done)
+        gd, ge, active = montecarlo._draw_fades(sc, _batch_rng(cfg.seed, batch_index), b)
+        rates = montecarlo._secrecy_rates(spec, (1.0 + gd) / (1.0 + ge), gd, ge, active)
+        n_outage += int(np.count_nonzero(rates <= sc.threshold_rate))
+        n_positive += int(np.count_nonzero(rates > 0.0))
+        rate_sum += float(rates.sum())
+        done += b
+        batch_index += 1
+    return n_outage / cfg.trials, n_positive / cfg.trials, rate_sum / cfg.trials
+
+
 def test_estimate_many_matches_one_spec_at_a_time():
     sc = make_scenario(n=4, k=3, s=0.6)
     many = estimate_many(sc, ALL_SPECS, _UNEVEN)
@@ -116,6 +133,8 @@ def test_estimate_many_matches_one_spec_at_a_time():
     for spec in ALL_SPECS:
         assert many[spec] == estimate_metrics(sc, spec, _UNEVEN)
         assert all(e.trials == 45_000 and e.seed == 21 for e in many[spec].values())
+        means = tuple(many[spec][m].mean for m in (Metric.SOP, Metric.NZSR, Metric.ESR))
+        assert means == _one_draw_per_spec(sc, spec, _UNEVEN)
 
 
 @pytest.mark.parametrize("specs", [ALL_SPECS[:1], ALL_SPECS], ids=["one", "six"])
