@@ -20,15 +20,9 @@ from .combinatorics import enumerate_compositions, multinomial, partial_fraction
 from .errors import InvalidRegimeError, UnsupportedClosedFormError
 from .metrics import LN2, sop
 from .scenario import Knowledge, Scenario, Scheme, SchemeSpec
+from .specfun import exp_scaled_ei
 
 _EULER = 0.5772156649015329
-
-
-def _exp_ei_neg(a: float) -> float:
-    """e^a Ei(-a); thin alias kept local to the asymptotic formulas."""
-    from .specfun import exp_scaled_ei
-
-    return exp_scaled_ei(a)
 
 
 @dataclass(frozen=True)
@@ -163,7 +157,7 @@ def esr_asymptote(scenario: Scenario, spec: SchemeSpec) -> EsrAsymptote:
         if spec.knowledge is Knowledge.BKU:
             coeffs, lams = min_hypoexp_terms(n_tx, lam_e)
             offset = _EULER - math.fsum(
-                c * _exp_ei_neg(lam) for c, lam in zip(coeffs, lams)
+                c * exp_scaled_ei(lam) for c, lam in zip(coeffs, lams)
             )
         else:
             terms = []
@@ -171,7 +165,7 @@ def esr_asymptote(scenario: Scenario, spec: SchemeSpec) -> EsrAsymptote:
                 p_n = bka_weight(n_tx, n, s)
                 cs, ls = min_hypoexp_terms(n, lam_e)
                 terms.extend(
-                    p_n * c * (_EULER - _exp_ei_neg(lam)) for c, lam in zip(cs, ls)
+                    p_n * c * (_EULER - exp_scaled_ei(lam)) for c, lam in zip(cs, ls)
                 )
             offset = math.fsum(terms) / (1.0 - (1.0 - s) ** n_tx)
         return EsrAsymptote(slope, offset)
@@ -183,7 +177,7 @@ def esr_asymptote(scenario: Scenario, spec: SchemeSpec) -> EsrAsymptote:
             for n in range(1, n_tx + 1):
                 cn = math.comb(n_tx, n) * (-1.0) ** (n + 1)
                 terms.extend(
-                    cn * wk * (math.log(n) - _exp_ei_neg(lk))
+                    cn * wk * (math.log(n) - exp_scaled_ei(lk))
                     for wk, lk in zip(w, lam_e)
                 )
             offset = _EULER + math.fsum(terms)
@@ -194,7 +188,7 @@ def esr_asymptote(scenario: Scenario, spec: SchemeSpec) -> EsrAsymptote:
                 for q in range(1, n + 1):
                     cq = p_n * math.comb(n, q) * (-1.0) ** (q + 1)
                     terms.extend(
-                        cq * wk * (_EULER + math.log(q) - _exp_ei_neg(lk))
+                        cq * wk * (_EULER + math.log(q) - exp_scaled_ei(lk))
                         for wk, lk in zip(w, lam_e)
                     )
             offset = math.fsum(terms) / (1.0 - (1.0 - s) ** n_tx)
@@ -229,7 +223,7 @@ def _scaled_ei_partial_sums(p: float, l_max: int) -> list:
     I_1 = e^p E_1(p); the forward recurrence I_j = (1 - p I_{j-1})/(j-1)
     is stable (the division by j-1 damps roundoff).
     """
-    i_j = -_exp_ei_neg(p)  # e^p E_1(p)
+    i_j = -exp_scaled_ei(p)  # e^p E_1(p)
     sums = [i_j]
     for j in range(2, l_max + 1):
         i_j = (1.0 - p * i_j) / (j - 1)

@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -108,6 +109,7 @@ def test_esr_closed_form_matches_quadrature(scheme, kn):
         sc = make_scenario(n=4, k=3, s=s)
         cf = tx.esr_closed_form(sc, spec)
         q = tx.esr_quadrature(sc, spec)
+        assert type(q) is float
         assert cf == pytest.approx(q, rel=1e-8)
 
 
@@ -134,6 +136,84 @@ def test_esr_quadrature_direct_oracle():
     assert val == pytest.approx(body / math.log(2.0), rel=1e-5)
 
 
+def _log_window_esr(ev, dest_rate):
+    """int_1^inf (1 - F(x)) / x dx / ln 2 by scalar quad over decades of x."""
+    top = math.ceil(math.log10(1.0 + 200.0 / dest_rate))
+    return math.fsum(
+        quad(lambda x: (1.0 - ev(x)) / x, 10.0**i, 10.0**(i + 1),
+             epsabs=1e-14, epsrel=1e-11, limit=400)[0]
+        for i in range(top)
+    ) / math.log(2.0)
+
+
+@pytest.mark.parametrize("kn", list(Knowledge), ids=lambda k: k.name)
+@pytest.mark.parametrize("k", (1, 3))
+@pytest.mark.parametrize("s", (0.2, 1.0))
+@pytest.mark.parametrize("db", (0.0, 60.0))
+def test_ots_esr_matches_log_window_oracle_at_preset_corners(db, s, k, kn):
+    # corners of the fig5-fig7 presets (N = 5); the oracle integrates the
+    # scalar CDF, closed form plus definitional fallback, in x
+    sc = make_scenario(n=5, k=k, s=s, dest_db=db)
+    spec = SchemeSpec(Scheme.OTS, kn)
+    val = tx.esr_quadrature(sc, spec)
+    assert type(val) is float
+    assert val == pytest.approx(_log_window_esr(RatioCdfEvaluator(sc, spec), sc.dest_rate), rel=1e-8)
+
+
+def test_esr_quadrature_never_takes_the_scalar_route(monkeypatch):
+    # s = 1 at high SNR is where the scalar CDF falls back to nested quadrature
+    def refuse(*args):
+        raise AssertionError("scalar CDF route taken")
+
+    monkeypatch.setattr(RatioCdfEvaluator, "_definitional", refuse)
+    monkeypatch.setattr(RatioCdfEvaluator, "__call__", refuse)
+    for db in (40.0, 60.0):
+        sc = make_scenario(n=5, k=3, s=1.0, dest_db=db)
+        for spec in ALL_SPECS:
+            assert tx.esr_quadrature(sc, spec) > 0.0
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label)
+def test_survival_matches_scalar_closed_form(spec):
+    sc = make_scenario(n=4, k=3, s=0.7)
+    ev = RatioCdfEvaluator(sc, spec)
+    xs = np.geomspace(1.0, 1e4, 41)
+    want = [1.0 - ev._closed_form(x) for x in xs]
+    # each side within the rounding bound of the same table, plus 1 - F's
+    tol = 2.0 * ev.survival_error_bound() + 2.0**-52
+    assert ev.survival(xs) == pytest.approx(want, rel=1e-12, abs=tol)
+
+
+def test_survival_chunks_give_the_unchunked_values(monkeypatch):
+    sc = make_scenario(n=8, k=3, s=0.7)
+    ev = RatioCdfEvaluator(sc, SchemeSpec(Scheme.MIN_ES, Knowledge.BKA))
+    xs = np.geomspace(1.0, 1e3, 300)
+    n_terms = sum(1 for _ in ev.terms())
+    monkeypatch.setattr(tx.metrics, "_CHUNK_ELEMENTS", xs.size * n_terms)
+    whole = ev.survival(xs)
+    monkeypatch.setattr(tx.metrics, "_CHUNK_ELEMENTS", 7 * n_terms + 3)
+    assert np.array_equal(ev.survival(xs), whole)
+
+
+def test_esr_quadrature_refuses_rounding_dominated_table(monkeypatch):
+    # MIN-ES at N = 12, K = 6: sum |c_i| is so large that the integrand is
+    # rounding noise; the call must raise up front, not return 0.0
+    sc = make_scenario(n=12, k=6, s=0.5, dest_db=20.0)
+    monkeypatch.setattr(RatioCdfEvaluator, "survival", lambda self, xs: pytest.fail("integrated"))
+    with pytest.raises(tx.QuadratureError, match="rounding"):
+        tx.esr_quadrature(sc, SchemeSpec(Scheme.MIN_ES, Knowledge.BKU))
+
+
+def test_gk15_rule_is_exact_on_polynomials():
+    # Kronrod 15 integrates degree 22 exactly, its embedded Gauss 7 degree 13
+    nodes = tx.metrics._GK15_NODES
+    for deg in range(23):
+        exact = (1.0 - (-1.0) ** (deg + 1)) / (deg + 1)
+        assert (tx.metrics._GK15_WEIGHTS * nodes**deg).sum() == pytest.approx(exact, abs=1e-15)
+        if deg < 14:
+            assert (tx.metrics._G7_WEIGHTS * nodes[1::2] ** deg).sum() == pytest.approx(exact, abs=1e-15)
+
+
 def test_esr_nonnegative_and_ordered():
     sc = make_scenario(s=0.7)
     for kn in Knowledge:
@@ -142,6 +222,34 @@ def test_esr_nonnegative_and_ordered():
         ots = tx.esr_quadrature(sc, SchemeSpec(Scheme.OTS, kn))
         assert 0.0 <= mins <= ots + 1e-9
         assert tts <= ots + 1e-9
+
+
+def test_definitional_bka_collapse_matches_loop_form():
+    # the MIN-ES-BKA integrand mixes the minimum over n active transmitters
+    # in one power; the loop over n it replaces is kept here as reference
+    sc = make_scenario(n=12, k=6, s=0.7, dest_db=30.0)
+    ev = RatioCdfEvaluator(sc, SchemeSpec(Scheme.MIN_ES, Knowledge.BKA))
+    n_tx, s, lam_d = sc.n_transmitters, sc.s, sc.dest_rate
+    w = channel.hypoexp_weights(sc.eave_rates)
+
+    def loop_form(y):
+        def integrand(x):
+            v = y * (x + 1.0) - 1.0
+            fd = -math.expm1(-lam_d * v) if v > 0 else 0.0
+            sfx = math.fsum(wk * math.exp(-lk * x) for wk, lk in zip(w, sc.eave_rates))
+            pdf = math.fsum(wk * lk * math.exp(-lk * x) for wk, lk in zip(w, sc.eave_rates))
+            acc = 0.0
+            for n in range(1, n_tx + 1):
+                p_n = math.comb(n_tx, n) * (1.0 - s) ** (n_tx - n) * s**n
+                acc += p_n * n * sfx ** (n - 1) * pdf
+            return fd * acc
+
+        val, _ = quad(lambda t: integrand(t / (1 - t)) / (1 - t) ** 2, 0.0, 1.0,
+                      epsabs=0.0, epsrel=1e-12, limit=500)
+        return (1.0 - s) ** n_tx + val
+
+    for y in (0.5, 1.0, 2.0, 7.0):
+        assert ev._definitional(y) == pytest.approx(loop_form(y), rel=1e-14)
 
 
 def test_deep_tail_cancellation_fallback():
