@@ -14,6 +14,21 @@ channel realizations (paired comparisons are exact).
 :func:`estimate_many` draws each batch once and scores every requested
 (scheme, knowledge) case on it; :func:`estimate_metrics` is its
 one-case form and gives the same bits.
+
+A batch is scored in chunks of :data:`_CHUNK_ROWS` trials: each chunk
+forms the ratio (1 + gamma_D) / (1 + gamma_E) once and picks the link
+of every case with one argmax/argmin per scheme, writing the rates into
+one (cases, batch) array.  The counts and sums are then taken over whole
+batch rows, so the estimates do not depend on the chunk size.  A batch
+therefore peaks at about batch_size * N * 17 bytes of fades and backhaul
+states plus 8 bytes per trial and case of rates (about 55 MB for N = 10,
+six cases and the default 250,000 trials), with the chunk temporaries a
+few MB on top.
+
+The loop runs on one thread.  Each batch is already a few large numpy
+calls, and a thread pool would split the work across the cores that the
+caller (a sweep, a test run) may be using, while tracing and timing
+tools that follow the calling thread would no longer see all of it.
 """
 
 from __future__ import annotations
@@ -64,44 +79,88 @@ def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(batch_index,)))
 
 
+#: Rows of a batch scored (and drawn, for every fade after the first) at a
+#: time.  16,384 rows of N = 10 doubles is 1.3 MB per chunk array, which
+#: keeps the per-chunk temporaries in cache instead of allocating fresh
+#: batch-sized arrays for each of them.
+_CHUNK_ROWS = 16_384
+
+
+def _row_chunks(size: int):
+    for start in range(0, size, _CHUNK_ROWS):
+        yield slice(start, min(start + _CHUNK_ROWS, size))
+
+
 def _draw_fades(scenario: Scenario, rng: np.random.Generator, size: int):
-    """Fades and backhaul states for ``size`` trials, in a fixed draw order."""
-    n_tx = scenario.n_transmitters
-    gamma_d = rng.exponential(1.0 / scenario.dest_rate, (size, n_tx))
-    gamma_e = np.zeros((size, n_tx))
-    for lam in scenario.eave_rates:
-        gamma_e += rng.exponential(1.0 / lam, (size, n_tx))
-    active = rng.random((size, n_tx)) < scenario.backhaul_reliability
+    """Fades and backhaul states for ``size`` trials, in a fixed draw order.
+
+    The destination fades come first, then each eavesdropper's fades,
+    then the backhaul uniforms, each as one (size, N) stream.  The
+    destination and first eavesdropper fades fill their arrays directly;
+    the other eavesdroppers' fades and the uniforms pass through one
+    reused row-chunk buffer.  Consecutive row slices consume the stream
+    exactly as one fill does, and ``exponential(scale)`` is ``scale *
+    standard_exponential()``, so the values are those of whole-array
+    draws summed from zero.
+    """
+    shape = (size, scenario.n_transmitters)
+    gamma_d = rng.standard_exponential(shape)
+    gamma_d *= 1.0 / scenario.dest_rate
+    gamma_e = np.empty(shape)
+    buf = np.empty((min(size, _CHUNK_ROWS), shape[1]))
+    first, *rest = scenario.eave_rates
+    rng.standard_exponential(out=gamma_e)
+    gamma_e *= 1.0 / first
+    for lam in rest:
+        for sl in _row_chunks(size):
+            chunk = buf[: sl.stop - sl.start]
+            rng.standard_exponential(out=chunk)
+            chunk *= 1.0 / lam
+            gamma_e[sl] += chunk
+    active = np.empty(shape, dtype=bool)
+    for sl in _row_chunks(size):
+        chunk = buf[: sl.stop - sl.start]
+        rng.random(out=chunk)
+        np.less(chunk, scenario.backhaul_reliability, out=active[sl])
     return gamma_d, gamma_e, active
 
 
-def _secrecy_rates(spec: SchemeSpec, ratio, gamma_d, gamma_e, active) -> np.ndarray:
-    """Per-trial achieved secrecy rates for one selection rule.
+def _secrecy_rates(scheme: Scheme, ratio, gamma_d, gamma_e, active, out: dict) -> None:
+    """Per-trial achieved secrecy rates of one selection rule, into ``out``.
 
-    ``ratio`` is (1 + gamma_d) / (1 + gamma_e), computed once per batch
-    and shared by every rule.  Ties in the selection break toward the
-    lowest transmitter index (argmin/argmax first occurrence).
+    ``ratio`` is (1 + gamma_d) / (1 + gamma_e) of the same rows, shared
+    by every rule.  ``out`` maps each requested :class:`Knowledge` to
+    the 1-D array that receives its rates.  Ties in the selection break
+    toward the lowest transmitter index (argmin/argmax first
+    occurrence).  The BKU pick is the first best link overall, so where
+    it is active it is also the BKA pick; only the other rows are
+    re-picked among their active links.  A trial delivers when the
+    picked link is active (under BKA, a row with no active link picks
+    an inactive one).
     """
-    if spec.scheme is Scheme.MIN_ES:
-        criterion, pick_max = gamma_e, False
-    elif spec.scheme is Scheme.TTS:
-        criterion, pick_max = gamma_d, True
+    if scheme is Scheme.MIN_ES:
+        criterion, pick, fill = gamma_e, np.argmin, np.inf
+    elif scheme is Scheme.TTS:
+        criterion, pick, fill = gamma_d, np.argmax, -np.inf
     else:
-        criterion, pick_max = ratio, True
+        criterion, pick, fill = ratio, np.argmax, -np.inf
 
-    rows = np.arange(gamma_d.shape[0])
-    if spec.knowledge is Knowledge.BKU:
-        idx = criterion.argmax(axis=1) if pick_max else criterion.argmin(axis=1)
-        delivered = active[rows, idx]
-    else:
-        fill = -np.inf if pick_max else np.inf
-        masked = np.where(active, criterion, fill)
-        idx = masked.argmax(axis=1) if pick_max else masked.argmin(axis=1)
-        delivered = active.any(axis=1)
-
-    rates = np.maximum(np.log2(ratio[rows, idx]), 0.0)
-    rates[~delivered] = 0.0
-    return rates
+    n_tx = criterion.shape[1]
+    flat = pick(criterion, axis=1)
+    flat += np.arange(0, flat.size * n_tx, n_tx)
+    delivered = active.take(flat)
+    for knowledge in (Knowledge.BKU, Knowledge.BKA):
+        rates = out.get(knowledge)
+        if rates is None:
+            continue
+        if knowledge is Knowledge.BKA:
+            missed = np.flatnonzero(~delivered)
+            masked = np.where(active[missed], criterion[missed], fill)
+            flat[missed] = pick(masked, axis=1) + missed * n_tx
+            delivered[missed] = active.take(flat[missed])
+        np.log2(ratio.take(flat), out=rates)
+        np.maximum(rates, 0.0, out=rates)
+        rates[~delivered] = 0.0
 
 
 def _tally(rates: np.ndarray, threshold: float) -> tuple:
@@ -147,18 +206,28 @@ def estimate_many(scenario: Scenario, specs, config: McConfig) -> dict:
     spec to a dict mapping :class:`Metric` to :class:`McEstimate`.
     """
     totals = dict.fromkeys(specs, (0, 0, 0.0, 0.0))
+    by_scheme = {}
+    for row, spec in enumerate(totals):
+        by_scheme.setdefault(spec.scheme, {})[spec.knowledge] = row
     done = 0
     batch_index = 0
     while done < config.trials:
         b = min(config.batch_size, config.trials - done)
         gamma_d, gamma_e, active = _draw_fades(scenario, _batch_rng(config.seed, batch_index), b)
-        ratio = (1.0 + gamma_d) / (1.0 + gamma_e)
-        for spec in totals:
-            counts = _tally(_secrecy_rates(spec, ratio, gamma_d, gamma_e, active),
-                            scenario.threshold_rate)
+        rates = np.empty((len(totals), b))
+        for sl in _row_chunks(b):
+            ratio = gamma_d[sl] + 1.0
+            ratio /= gamma_e[sl] + 1.0
+            for scheme, rows in by_scheme.items():
+                out = {knowledge: rates[row, sl] for knowledge, row in rows.items()}
+                _secrecy_rates(scheme, ratio, gamma_d[sl], gamma_e[sl], active[sl], out)
+        # tallied over whole batch rows, so numpy's pairwise sums (and
+        # the estimates) do not depend on the chunk size
+        for spec, row in zip(totals, rates):
+            counts = _tally(row, scenario.threshold_rate)
             totals[spec] = tuple(t + c for t, c in zip(totals[spec], counts))
         # free this batch before the next one is drawn
-        del gamma_d, gamma_e, active, ratio
+        del gamma_d, gamma_e, active, rates, ratio
         done += b
         batch_index += 1
     return {spec: _estimates(*t, config.trials, config.seed) for spec, t in totals.items()}

@@ -91,8 +91,8 @@ def test_hypoexp_cdf_near_zero_has_no_cancellation_noise():
     for x in (1e-100, 1e-12, 1e-6, 1e-3):
         lead = 10.0 * x**3 * (1.0 / 6.0 - x * 8.0 / 24.0)
         assert hypoexp_cdf(x, RATES) == pytest.approx(lead, rel=1e-5)
-    # both routes agree where they meet, x * max(rates) = 0.5
-    edge = 0.5 / max(RATES)
+    # both routes agree where they meet
+    edge = channel._CDF_SERIES_BELOW / max(RATES)
     below, above = hypoexp_cdf(edge * (1 - 1e-12), RATES), hypoexp_cdf(edge, RATES)
     assert below <= above == pytest.approx(below, rel=1e-10)
 
@@ -250,3 +250,57 @@ def test_max_dest_sel_bka_reduces_at_s1():
         assert max_dest_sel_bka_cdf(x, sc) == pytest.approx(
             max_dest_sel_cdf(x, sc), abs=1e-12
         )
+
+
+# Six eavesdroppers at about 6, 8, ..., 16 dB: closely spaced rates whose
+# alternating survival weights cancel in 1 - S(x) in the left tail.
+SIX_RATES = (0.25, 0.16, 0.1, 0.063, 0.04, 0.025)
+TAIL_XS = tuple(np.geomspace(1e-6, 400.0, 45)) + (2.0,)
+
+
+def _mp_hypoexp_sf(x, rates, mp):
+    """S(x) = sum_k w_k e^(-r_k x) at the working precision of ``mp``."""
+    r = [mp.mpf(v) for v in rates]
+    total = mp.mpf(0)
+    for k, rk in enumerate(r):
+        denom = rk
+        for j, rj in enumerate(r):
+            if j != k:
+                denom *= rj - rk
+        total += mp.fprod(r) / denom * mp.exp(-rk * mp.mpf(x))
+    return total
+
+
+def _assert_rel(got, want, rel=1e-12):
+    assert abs(got - float(want)) <= rel * float(want), (got, float(want))
+
+
+@pytest.mark.parametrize("rates", [SIX_RATES, RATES, (0.251, 0.126, 0.05), (0.05,)])
+def test_hypoexp_cdf_left_tail_matches_mpmath(rates):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(80):
+        for x in TAIL_XS:
+            _assert_rel(hypoexp_cdf(x, rates), 1 - _mp_hypoexp_sf(x, rates, mp))
+
+
+@pytest.mark.parametrize("n, k", [(4, 6), (10, 3), (1, 2)])
+def test_min_eave_sel_cdf_left_tail_matches_mpmath(n, k):
+    mp = pytest.importorskip("mpmath")
+    sc = make_scenario(n=n, k=k)
+    with mp.workdps(80):
+        for x in TAIL_XS:
+            want = 1 - _mp_hypoexp_sf(x, sc.eave_rates, mp) ** n
+            _assert_rel(min_eave_sel_cdf(x, sc), want)
+
+
+@pytest.mark.parametrize("s", [0.2, 0.9, 1.0])
+def test_max_dest_sel_cdfs_left_tail_match_mpmath(s):
+    # at N=4, 30 dB and x=1e-6 the CDF is 1e-36 (1 - S returned 7.8e-16)
+    mp = pytest.importorskip("mpmath")
+    sc = make_scenario(n=4, s=s, dest_db=30.0)
+    with mp.workdps(80):
+        lam = mp.mpf(sc.dest_rate)
+        for x in TAIL_XS + (1e3, 1e4):
+            tail = mp.exp(-lam * mp.mpf(x))
+            _assert_rel(max_dest_sel_cdf(x, sc), (1 - tail) ** 4)
+            _assert_rel(max_dest_sel_bka_cdf(x, sc), (1 - mp.mpf(s) * tail) ** 4)

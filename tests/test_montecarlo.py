@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import txsecrecy as tx
 from txsecrecy import ALL_SPECS, Knowledge, McConfig, Metric, Scheme, SchemeSpec
 from txsecrecy import montecarlo
-from txsecrecy.montecarlo import _batch_rng, estimate_many, estimate_metrics
+from txsecrecy.montecarlo import _CHUNK_ROWS, _batch_rng, estimate_many, estimate_metrics
 
 from conftest import make_scenario
 
@@ -109,6 +111,41 @@ def test_stderr_scales_with_trials():
 _UNEVEN = McConfig(trials=45_000, seed=21, batch_size=10_000)
 
 
+def _reference_rates(spec, ratio, gamma_d, gamma_e, active):
+    """Whole-batch selection: masked argmax over every row, ``ratio[rows, idx]``."""
+    if spec.scheme is Scheme.MIN_ES:
+        criterion, pick_max = gamma_e, False
+    elif spec.scheme is Scheme.TTS:
+        criterion, pick_max = gamma_d, True
+    else:
+        criterion, pick_max = ratio, True
+
+    rows = np.arange(gamma_d.shape[0])
+    if spec.knowledge is Knowledge.BKU:
+        idx = criterion.argmax(axis=1) if pick_max else criterion.argmin(axis=1)
+        delivered = active[rows, idx]
+    else:
+        fill = -np.inf if pick_max else np.inf
+        masked = np.where(active, criterion, fill)
+        idx = masked.argmax(axis=1) if pick_max else masked.argmin(axis=1)
+        delivered = active.any(axis=1)
+
+    rates = np.maximum(np.log2(ratio[rows, idx]), 0.0)
+    rates[~delivered] = 0.0
+    return rates
+
+
+def _reference_fades(scenario, rng, size):
+    """Whole-array draws in the fixed order: destination, each eavesdropper, backhaul."""
+    n_tx = scenario.n_transmitters
+    gamma_d = rng.exponential(1.0 / scenario.dest_rate, (size, n_tx))
+    gamma_e = np.zeros((size, n_tx))
+    for lam in scenario.eave_rates:
+        gamma_e += rng.exponential(1.0 / lam, (size, n_tx))
+    active = rng.random((size, n_tx)) < scenario.backhaul_reliability
+    return gamma_d, gamma_e, active
+
+
 def _one_draw_per_spec(sc, spec, cfg):
     """Reference: SOP, NZSR and ESR means with the fades drawn for this spec alone."""
     n_outage = n_positive = 0
@@ -116,14 +153,18 @@ def _one_draw_per_spec(sc, spec, cfg):
     done = batch_index = 0
     while done < cfg.trials:
         b = min(cfg.batch_size, cfg.trials - done)
-        gd, ge, active = montecarlo._draw_fades(sc, _batch_rng(cfg.seed, batch_index), b)
-        rates = montecarlo._secrecy_rates(spec, (1.0 + gd) / (1.0 + ge), gd, ge, active)
+        gd, ge, active = _reference_fades(sc, _batch_rng(cfg.seed, batch_index), b)
+        rates = _reference_rates(spec, (1.0 + gd) / (1.0 + ge), gd, ge, active)
         n_outage += int(np.count_nonzero(rates <= sc.threshold_rate))
         n_positive += int(np.count_nonzero(rates > 0.0))
         rate_sum += float(rates.sum())
         done += b
         batch_index += 1
     return n_outage / cfg.trials, n_positive / cfg.trials, rate_sum / cfg.trials
+
+
+def _means(estimates):
+    return tuple(estimates[m].mean for m in (Metric.SOP, Metric.NZSR, Metric.ESR))
 
 
 def test_estimate_many_matches_one_spec_at_a_time():
@@ -133,8 +174,7 @@ def test_estimate_many_matches_one_spec_at_a_time():
     for spec in ALL_SPECS:
         assert many[spec] == estimate_metrics(sc, spec, _UNEVEN)
         assert all(e.trials == 45_000 and e.seed == 21 for e in many[spec].values())
-        means = tuple(many[spec][m].mean for m in (Metric.SOP, Metric.NZSR, Metric.ESR))
-        assert means == _one_draw_per_spec(sc, spec, _UNEVEN)
+        assert _means(many[spec]) == _one_draw_per_spec(sc, spec, _UNEVEN)
 
 
 @pytest.mark.parametrize("specs", [ALL_SPECS[:1], ALL_SPECS], ids=["one", "six"])
@@ -158,3 +198,106 @@ def test_duplicate_specs_give_one_entry():
     assert list(many) == [tts, ots]
     assert many[tts] == estimate_metrics(sc, tts, _UNEVEN)
     assert many[ots] == estimate_metrics(sc, ots, _UNEVEN)
+
+
+# Two whole batches, each three chunks with a short last one, and a ragged
+# last batch: every chunk boundary falls inside a batch.
+_ACROSS_CHUNKS = McConfig(trials=2 * (2 * _CHUNK_ROWS + 123) + 7_001, seed=5,
+                          batch_size=2 * _CHUNK_ROWS + 123)
+_BKA_ONLY = tuple(s for s in ALL_SPECS if s.knowledge is Knowledge.BKA)
+
+
+@pytest.mark.parametrize(
+    "specs",
+    [ALL_SPECS, ALL_SPECS[::-1], _BKA_ONLY, ALL_SPECS[1:2], ALL_SPECS[4:5]],
+    ids=["all", "reversed", "bka", "min_es_bka", "ots_bku"],
+)
+def test_chunked_scoring_matches_whole_batch_reference(specs):
+    sc = make_scenario(n=5, k=3, s=0.6)
+    many = estimate_many(sc, specs, _ACROSS_CHUNKS)
+    assert list(many) == list(specs)
+    for spec in specs:
+        assert _means(many[spec]) == _one_draw_per_spec(sc, spec, _ACROSS_CHUNKS)
+
+
+@pytest.mark.parametrize("size", [1, _CHUNK_ROWS - 1, _CHUNK_ROWS, 2 * _CHUNK_ROWS + 123])
+@pytest.mark.parametrize("k", [1, 3])
+def test_chunked_draws_equal_whole_array_draws(size, k):
+    sc = make_scenario(n=4, k=k, s=0.7)
+    got = montecarlo._draw_fades(sc, _batch_rng(3, 1), size)
+    want = _reference_fades(sc, _batch_rng(3, 1), size)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert np.array_equal(g, w)
+
+
+def _pick(scheme, gamma_d, gamma_e, active):
+    gamma_d, gamma_e, active = (np.asarray(a, dtype=d) for a, d in
+                                ((gamma_d, float), (gamma_e, float), (active, bool)))
+    ratio = (1.0 + gamma_d) / (1.0 + gamma_e)
+    out = {kn: np.full(gamma_d.shape[0], np.nan) for kn in Knowledge}
+    montecarlo._secrecy_rates(scheme, ratio, gamma_d, gamma_e, active, out)
+    for kn, rates in out.items():
+        ref = _reference_rates(SchemeSpec(scheme, kn), ratio, gamma_d, gamma_e, active)
+        assert np.array_equal(rates, ref)
+    return out[Knowledge.BKU], out[Knowledge.BKA]
+
+
+# Per scheme: destination and eavesdropper SNRs of three rows, and the BKA
+# rates.  Row 0 ties two best links, both active, and picking the second
+# would give rate 2 (except for OTS, whose tied links have equal rates);
+# in rows 1 and 2 the first best link is down, and in row 2 the active
+# links tie, where picking the second would give rate 2.
+_TIES = {
+    Scheme.TTS: ([[3, 1, 3], [3, 1, 3], [7, 3, 3]],
+                 [[1, 1, 0], [1, 1, 0], [0, 1, 0]], [1.0, 2.0, 1.0]),
+    Scheme.MIN_ES: ([[3, 3, 7], [3, 3, 7], [7, 3, 7]],
+                    [[1, 3, 1], [1, 3, 1], [0, 1, 1]], [1.0, 2.0, 1.0]),
+    Scheme.OTS: ([[3, 1, 7], [3, 1, 7], [15, 3, 7]],
+                 [[1, 1, 3], [1, 1, 3], [0, 1, 3]], [1.0, 1.0, 1.0]),
+}
+
+
+@pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.name)
+def test_bka_pick_breaks_ties_toward_the_first_active_link(scheme):
+    gd, ge, want = _TIES[scheme]
+    act = [[True, True, True], [False, True, True], [False, True, True]]
+    bku, bka = _pick(scheme, gd, ge, act)
+    assert bku.tolist() == [1.0, 0.0, 0.0]
+    assert bka.tolist() == want
+
+
+@pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.name)
+def test_bka_pick_without_an_active_link_delivers_nothing(scheme):
+    gd = [[3.0, 7.0], [3.0, 7.0]]
+    ge = [[0.0, 0.0], [0.0, 0.0]]
+    bku, bka = _pick(scheme, gd, ge, [[False, False], [True, False]])
+    assert bka.tolist() == [0.0, 2.0]
+    assert bku[0] == 0.0
+
+
+@pytest.mark.parametrize("s", [0.0, 1.0])
+@pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.name)
+def test_bka_pick_with_all_links_down_or_up(scheme, s):
+    rng = np.random.default_rng(4)
+    gd, ge = rng.exponential(5.0, (500, 4)), rng.exponential(1.0, (500, 4))
+    bku, bka = _pick(scheme, gd, ge, np.full((500, 4), s == 1.0))
+    if s == 0.0:
+        assert not bku.any() and not bka.any()
+    else:
+        assert np.array_equal(bku, bka) and bku.any()
+
+
+def test_batch_memory_peak_is_bounded():
+    # one 250,000-trial batch of N=10 fades; the fades alone are
+    # 17 bytes per entry, the six rate rows 48 bytes per trial
+    sc = make_scenario(n=10, k=3, s=0.9, dest_db=30.0, rth=0.0)
+    cfg = McConfig(trials=250_000, seed=1)
+    estimate_many(sc, ALL_SPECS, McConfig(trials=10_000, seed=1))
+    tracemalloc.start()
+    try:
+        estimate_many(sc, ALL_SPECS, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.25 * cfg.batch_size * sc.n_transmitters * 8
