@@ -79,10 +79,10 @@ def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(batch_index,)))
 
 
-#: Rows of a batch scored (and drawn, for every fade after the first) at a
-#: time.  16,384 rows of N = 10 doubles is 1.3 MB per chunk array, which
-#: keeps the per-chunk temporaries in cache instead of allocating fresh
-#: batch-sized arrays for each of them.
+#: Trials of a batch scored at a time (and drawn at a time, for the later
+#: eavesdropper fades and the backhaul uniforms).  16,384 rows of N = 10
+#: doubles is 1.3 MB per chunk array, so the per-chunk temporaries stay
+#: in cache instead of being fresh batch-sized arrays.
 _CHUNK_ROWS = 16_384
 
 
@@ -173,6 +173,26 @@ def _tally(rates: np.ndarray, threshold: float) -> tuple:
     )
 
 
+def _batch_counts(scenario: Scenario, by_scheme: dict, rng: np.random.Generator,
+                  size: int) -> list:
+    """:func:`_tally` of each case on one freshly drawn batch, in row order.
+
+    ``by_scheme`` maps each scheme to {knowledge: case row}.  The
+    batch's arrays are freed on return, before the next batch is drawn.
+    """
+    gamma_d, gamma_e, active = _draw_fades(scenario, rng, size)
+    rates = np.empty((sum(map(len, by_scheme.values())), size))
+    for sl in _row_chunks(size):
+        ratio = gamma_d[sl] + 1.0
+        ratio /= gamma_e[sl] + 1.0
+        for scheme, rows in by_scheme.items():
+            _secrecy_rates(scheme, ratio, gamma_d[sl], gamma_e[sl], active[sl],
+                           {knowledge: rates[row, sl] for knowledge, row in rows.items()})
+    # tallied over whole batch rows, so numpy's pairwise sums (and the
+    # estimates) do not depend on the chunk size
+    return [_tally(row, scenario.threshold_rate) for row in rates]
+
+
 def _estimates(n_outage: int, n_positive: int, rate_sum: float, rate_sumsq: float,
                trials: int, seed: int) -> dict:
     """Metric -> McEstimate from the run totals of one spec."""
@@ -213,21 +233,10 @@ def estimate_many(scenario: Scenario, specs, config: McConfig) -> dict:
     batch_index = 0
     while done < config.trials:
         b = min(config.batch_size, config.trials - done)
-        gamma_d, gamma_e, active = _draw_fades(scenario, _batch_rng(config.seed, batch_index), b)
-        rates = np.empty((len(totals), b))
-        for sl in _row_chunks(b):
-            ratio = gamma_d[sl] + 1.0
-            ratio /= gamma_e[sl] + 1.0
-            for scheme, rows in by_scheme.items():
-                out = {knowledge: rates[row, sl] for knowledge, row in rows.items()}
-                _secrecy_rates(scheme, ratio, gamma_d[sl], gamma_e[sl], active[sl], out)
-        # tallied over whole batch rows, so numpy's pairwise sums (and
-        # the estimates) do not depend on the chunk size
-        for spec, row in zip(totals, rates):
-            counts = _tally(row, scenario.threshold_rate)
+        rng = _batch_rng(config.seed, batch_index)
+        batch = _batch_counts(scenario, by_scheme, rng, b)
+        for spec, counts in zip(totals, batch):
             totals[spec] = tuple(t + c for t, c in zip(totals[spec], counts))
-        # free this batch before the next one is drawn
-        del gamma_d, gamma_e, active, rates, ratio
         done += b
         batch_index += 1
     return {spec: _estimates(*t, config.trials, config.seed) for spec, t in totals.items()}

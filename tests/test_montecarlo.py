@@ -289,10 +289,11 @@ def test_bka_pick_with_all_links_down_or_up(scheme, s):
 
 
 def test_batch_memory_peak_is_bounded():
-    # one 250,000-trial batch of N=10 fades; the fades alone are
-    # 17 bytes per entry, the six rate rows 48 bytes per trial
+    # 250,000-trial batches of N=10 fades: the fades alone are 17 bytes
+    # per entry, the six rate rows 48 bytes per trial.  Two batches, so
+    # the bound also fails if one batch's arrays outlive the next draw.
     sc = make_scenario(n=10, k=3, s=0.9, dest_db=30.0, rth=0.0)
-    cfg = McConfig(trials=250_000, seed=1)
+    cfg = McConfig(trials=500_000, seed=1, batch_size=250_000)
     estimate_many(sc, ALL_SPECS, McConfig(trials=10_000, seed=1))
     tracemalloc.start()
     try:
