@@ -24,18 +24,15 @@ for spec in ALL_SPECS:
           f"quadrature cross-check {q:.6f}")
 
 print("\nhigh-SNR lines, slope * (ln(1/lambda_D) - offset):")
-for spec in (SchemeSpec(Scheme.TTS, Knowledge.BKU), SchemeSpec(Scheme.TTS, Knowledge.BKA)):
+for spec in ALL_SPECS:
     line = tx.esr_asymptote(sc, spec)
     print(f"{spec.label:<12} slope={line.slope:.5f}  offset={line.offset:.4f} nats "
           f"({line.offset_db:.2f} dB)")
     expected = S / math.log(2) if spec.knowledge is Knowledge.BKU else (1 - (1 - S) ** N) / math.log(2)
     assert abs(line.slope - expected) < 1e-12
 
-print("\nline vs exact at 60 dB (TTS-BKU and OTS, any K via esr_high_snr_ots):")
+print(f"\nline vs exact at 60 dB (K={K}):")
 hi = sc.with_dest_snr_db(60.0)
-spec = SchemeSpec(Scheme.TTS, Knowledge.BKU)
-print(f"{spec.label:<12} line={tx.esr_asymptote(hi, spec).at_dest_rate(hi.dest_rate):.5f} "
-      f"exact={tx.esr_closed_form(hi, spec):.5f}")
-spec = SchemeSpec(Scheme.OTS, Knowledge.BKU)
-print(f"{spec.label:<12} line={tx.esr_high_snr_ots(hi, spec):.5f} "
-      f"exact={tx.esr_quadrature(hi, spec):.5f}")
+for spec in (SchemeSpec(Scheme.TTS, Knowledge.BKU), SchemeSpec(Scheme.OTS, Knowledge.BKU)):
+    print(f"{spec.label:<12} line={tx.esr_asymptote(hi, spec).at_dest_rate(hi.dest_rate):.5f} "
+          f"exact={tx.esr_quadrature(hi, spec):.5f}")

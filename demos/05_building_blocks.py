@@ -2,11 +2,8 @@
 
 Shows the hypoexponential law of the MRC-combined eavesdropping SNR,
 the order-statistic term tables behind the selection schemes, and the
-special-function kernels (scaled exponential integral, partial
-fractions) used by the closed forms.
+scaled exponential integral used by the closed forms.
 """
-
-import math
 
 import numpy as np
 
@@ -14,15 +11,10 @@ import txsecrecy as tx
 from txsecrecy.channel import (
     HypoexpDist,
     hypoexp_weights,
-    min_eave_sel_bka,
+    min_eave_sel_bka_terms,
     min_hypoexp_terms,
 )
-from txsecrecy.combinatorics import (
-    enumerate_compositions,
-    integrate_partial_fractions_tail,
-    multinomial,
-    partial_fractions,
-)
+from txsecrecy.combinatorics import enumerate_compositions, multinomial
 from txsecrecy.specfun import exp_scaled_ei
 
 # K = 3 colluding eavesdroppers at 6, 9, 13 dB mean SNR
@@ -44,17 +36,12 @@ print(f"multinomial(3; 1,1,1) = {multinomial(3, (1, 1, 1))}")
 
 # with backhaul knowledge the minimum runs over the active subset only
 sc = tx.scenario_from_db(4, 3, 0.5, 20.0, [6.0, 9.0, 13.0])
-mix = min_eave_sel_bka(sc)
-print(f"BKA minimum: point mass {mix.point_mass_at_zero:.4f} at zero "
-      f"(all four backhauls down)\n")
+bka_coeffs, _ = min_eave_sel_bka_terms(sc)
+print(f"BKA minimum: {len(bka_coeffs)} terms over n = 1..4 active links, "
+      f"point mass {(1.0 - sc.s) ** 4:.4f} at zero (all four backhauls down)\n")
 
 # closed-form ESR terms are differences of e^a Ei(-a); the fused kernel
 # stays finite where exp(a) alone would overflow
 for a in (1.0, 50.0, 2000.0):
     print(f"e^{a:g} Ei(-{a:g}) = {exp_scaled_ei(a):.6e}")
 
-# high-SNR OTS tail integrals via exact partial fractions
-pfe = partial_fractions(1.0, [(0.0, 1), (-2.0, 2)])
-val = integrate_partial_fractions_tail(pfe, lower=1.0)
-print(f"\nint_1^inf dx / (x (x+2)^2) = {val:.10f} "
-      f"(analytic {0.25 * math.log(3.0) - 1.0 / 6.0:.10f})")

@@ -17,7 +17,7 @@ from .asymptotics import (
     sop_asymptote,
     sop_high_snr_approx,
 )
-from .channel import HypoexpDist, MixtureDist
+from .channel import HypoexpDist
 from .errors import (
     ConditioningWarning,
     DomainError,
@@ -66,7 +66,6 @@ __all__ = [
     "McConfig",
     "McEstimate",
     "Metric",
-    "MixtureDist",
     "QuadratureError",
     "RateSeparationError",
     "RatioCdfEvaluator",

@@ -5,7 +5,11 @@ backhaul activity knowledge and at (1-s)^N with it, independent of the
 scheme and of the eavesdroppers.  With perfect backhaul the SOP instead
 decays polynomially with a scheme-dependent diversity order.  The ESR
 grows along a straight line in ln(1/lambda_D) whose slope depends only
-on s (and N in the BKA case); the power offset is scheme specific.
+on s (and N in the BKA case), for every scheme and every number of
+eavesdroppers; the power offset is scheme specific.  All six lines come
+from one offset formula over per-term constants, read from the ratio
+CDF's term table for MIN-ES and TTS and from the per-order expansion of
+the selection power form for OTS.
 """
 
 from __future__ import annotations
@@ -15,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import bka_weight, hypoexp_weights, min_hypoexp_terms
-from .combinatorics import enumerate_compositions, multinomial, partial_fractions
+from .channel import _power_terms, hypoexp_weights
+from .combinatorics import partial_fractions
 from .errors import InvalidRegimeError, UnsupportedClosedFormError
-from .metrics import LN2, sop
+from .metrics import LN2, RatioCdfEvaluator, sop
 from .scenario import Knowledge, Scenario, Scheme, SchemeSpec
 from .specfun import exp_scaled_ei
 
@@ -120,8 +124,12 @@ def sop_high_snr_approx(scenario: Scenario, spec: SchemeSpec) -> float:
     lam_d, rho = scenario.dest_rate, scenario.rho
     lam_e = scenario.eave_rates
     if spec.scheme is Scheme.MIN_ES:
-        coeffs, lams = min_hypoexp_terms(scenario.n_transmitters, lam_e)
-        mean_min = math.fsum(c / lam for c, lam in zip(coeffs, lams))
+        # at s = 1 the term table is the min over all N links, weight 1
+        mean_min = math.fsum(
+            weight * c / lam
+            for weight, coeffs, lams, _ in RatioCdfEvaluator(scenario, spec).parts()
+            for c, lam in zip(coeffs, lams)
+        )
         return lam_d * (rho * mean_min + rho - 1.0)
     if spec.scheme is Scheme.OTS:
         mean_se = math.fsum(1.0 / lk for lk in lam_e)
@@ -139,82 +147,37 @@ def sop_high_snr_approx(scenario: Scenario, spec: SchemeSpec) -> float:
 
 
 def esr_asymptote(scenario: Scenario, spec: SchemeSpec) -> EsrAsymptote:
-    """Slope and power offset of the high-SNR ESR line.
+    """Slope and power offset of the high-SNR ESR line, for every scheme and K.
 
-    Available for MIN-ES and TTS at any K and for OTS at K = 1 (the
-    harmonic-number form); for OTS with K > 1 the high-SNR ESR has no
-    straight-line decomposition -- use :func:`esr_high_snr_ots`.
+    As lambda_D -> 0 the ESR in nats is sum_i w_i (ln(1/lambda_D) - gamma
+    - k_i) + o(1), where the weights w_i sum to norm = s (BKU) or
+    1 - (1-s)^N (BKA).  So the slope is norm / ln 2, the same for every
+    scheme and every number of eavesdroppers, and the offset is
+    gamma + sum_i w_i k_i / norm.  The (w_i, k_i) pairs are
+
+    - MIN-ES and TTS: one per term of :meth:`RatioCdfEvaluator.parts`,
+      w_i = c_i and k_i = ln(b_i/lambda_D) - e^{lam_i} Ei(-lam_i), from
+      integrating the term's 1 - F against dx/x;
+    - OTS: one per order n of the selection power form,
+      w_n = C(N,n)(-1)^{n+1} s (BKU) or s^n (BKA), and k_n = ln n + E_n
+      from :func:`_ots_offset_terms`.
     """
     sc = scenario
     s, n_tx = sc.backhaul_reliability, sc.n_transmitters
-    lam_e = sc.eave_rates
-    if spec.knowledge is Knowledge.BKU:
-        slope = s / LN2
-    else:
-        slope = (1.0 - (1.0 - s) ** n_tx) / LN2
-
-    if spec.scheme is Scheme.MIN_ES:
-        if spec.knowledge is Knowledge.BKU:
-            coeffs, lams = min_hypoexp_terms(n_tx, lam_e)
-            offset = _EULER - math.fsum(
-                c * exp_scaled_ei(lam) for c, lam in zip(coeffs, lams)
-            )
-        else:
-            terms = []
-            for n in range(1, n_tx + 1):
-                p_n = bka_weight(n_tx, n, s)
-                cs, ls = min_hypoexp_terms(n, lam_e)
-                terms.extend(
-                    p_n * c * (_EULER - exp_scaled_ei(lam)) for c, lam in zip(cs, ls)
-                )
-            offset = math.fsum(terms) / (1.0 - (1.0 - s) ** n_tx)
-        return EsrAsymptote(slope, offset)
-
-    if spec.scheme is Scheme.TTS:
-        w = hypoexp_weights(lam_e)
-        if spec.knowledge is Knowledge.BKU:
-            terms = []
-            for n in range(1, n_tx + 1):
-                cn = math.comb(n_tx, n) * (-1.0) ** (n + 1)
-                terms.extend(
-                    cn * wk * (math.log(n) - exp_scaled_ei(lk))
-                    for wk, lk in zip(w, lam_e)
-                )
-            offset = _EULER + math.fsum(terms)
-        else:
-            terms = []
-            for n in range(1, n_tx + 1):
-                p_n = bka_weight(n_tx, n, s)
-                for q in range(1, n + 1):
-                    cq = p_n * math.comb(n, q) * (-1.0) ** (q + 1)
-                    terms.extend(
-                        cq * wk * (_EULER + math.log(q) - exp_scaled_ei(lk))
-                        for wk, lk in zip(w, lam_e)
-                    )
-            offset = math.fsum(terms) / (1.0 - (1.0 - s) ** n_tx)
-        return EsrAsymptote(slope, offset)
-
-    # OTS: straight-line form only for K = 1 (slope/offset decomposition
-    # of the same line esr_high_snr_ots evaluates for any K).  Sending
-    # lam_E -> 0 recovers the harmonic-number form
-    # ln(1/lam_E) + sum_n C(N,n)(-1)^{n+1} H_{n-1}.
-    if sc.n_eavesdroppers != 1:
-        raise UnsupportedClosedFormError(
-            "OTS slope/offset is available only for K = 1; "
-            "use esr_high_snr_ots for the K > 1 high-SNR value"
+    norm = s if spec.knowledge is Knowledge.BKU else 1.0 - (1.0 - s) ** n_tx
+    if spec.scheme is Scheme.OTS:
+        terms = (
+            math.comb(n_tx, n) * (-1.0) ** (n + 1)
+            * (s if spec.knowledge is Knowledge.BKU else s**n) * k_n
+            for n, k_n in enumerate(_ots_offset_terms(sc), start=1)
         )
-    offsets = _ots_offset_terms(sc)
-    terms = []
-    for n, t_n in enumerate(offsets, start=1):
-        cn = math.comb(n_tx, n) * (-1.0) ** (n + 1)
-        if spec.knowledge is Knowledge.BKA:
-            cn *= s**n
-        terms.append(cn * t_n)
-    if spec.knowledge is Knowledge.BKU:
-        offset = math.fsum(terms)
     else:
-        offset = math.fsum(terms) / (1.0 - (1.0 - s) ** n_tx)
-    return EsrAsymptote(slope, offset)
+        terms = (
+            (weight * c) * (math.log(b / sc.dest_rate) - exp_scaled_ei(lam))
+            for weight, coeffs, lams, b in RatioCdfEvaluator(sc, spec).parts()
+            for c, lam in zip(coeffs, lams)
+        )
+    return EsrAsymptote(norm / LN2, _EULER + math.fsum(terms) / norm)
 
 
 def _scaled_ei_partial_sums(p: float, l_max: int) -> list:
@@ -232,7 +195,7 @@ def _scaled_ei_partial_sums(p: float, l_max: int) -> list:
 
 
 def _ots_offset_terms(scenario: Scenario) -> list:
-    """Per-order offset constants gamma + ln n + E_n of the OTS ESR line.
+    """Per-order offset constants k_n = ln n + E_n of the OTS ESR line.
 
     The n-th binomial term of the selection power form integrates to
     ln(1/lambda_D) - (gamma + ln n + E_n) + o(1) as lambda_D -> 0, with
@@ -244,18 +207,16 @@ def _ots_offset_terms(scenario: Scenario) -> list:
     (1 + t/lam_k)^{-i_k} factors splits by partial fractions into simple
     (1 + t/lam_k)^{-l} terms whose integrals against e^{-n t}/t follow
     from the scaled-Ei recurrence.  Since T(0) = 1 the 1/t singularity
-    cancels and the expansion coefficients sum to one.
+    cancels and the expansion coefficients sum to one.  For K = 1,
+    lam_E -> 0 recovers the harmonic-number form
+    k_n = ln(1/lam_E) - gamma + H_{n-1}.
     """
     lam_e = scenario.eave_rates
-    k_ev = scenario.n_eavesdroppers
     w = hypoexp_weights(lam_e)
     terms = []
     for n in range(1, scenario.n_transmitters + 1):
         e_n = []
-        for comp in enumerate_compositions(n, k_ev):
-            c = float(multinomial(n, comp))
-            for wk, ik in zip(w, comp):
-                c *= wk**ik
+        for comp, c in _power_terms(n, w):
             active = [(lk, ik) for lk, ik in zip(lam_e, comp) if ik > 0]
             numerator = math.prod(lk**ik for lk, ik in active)
             pfe = partial_fractions(numerator, [(-lk, ik) for lk, ik in active])
@@ -266,27 +227,17 @@ def _ots_offset_terms(scenario: Scenario) -> list:
                     c * b / lk**l * s_l[l - 1]
                     for l, b in enumerate(coefs, start=1)
                 )
-        terms.append(_EULER + math.log(n) + math.fsum(e_n))
+        terms.append(math.log(n) + math.fsum(e_n))
     return terms
 
 
 def esr_high_snr_ots(scenario: Scenario, spec: SchemeSpec) -> float:
     """High-SNR ergodic secrecy rate of OTS for any K.
 
-    Evaluates the asymptotic line sum_n C(N,n)(-1)^{n+1} w_n
-    (ln(1/lambda_D) - gamma - ln n - E_n) / ln 2 with w_n = s (BKU) or
-    s^n (BKA); exact in the lambda_D -> 0 limit for fixed eavesdropper
-    rates, and reducing to the harmonic-number form when additionally
-    lambda_E -> 0.
+    The :func:`esr_asymptote` line at the scenario's own lambda_D: exact
+    in the lambda_D -> 0 limit for fixed eavesdropper rates, and reducing
+    to the harmonic-number form when additionally lambda_E -> 0.
     """
     if spec.scheme is not Scheme.OTS:
         raise UnsupportedClosedFormError("esr_high_snr_ots applies to OTS only")
-    sc = scenario
-    s, n_tx = sc.backhaul_reliability, sc.n_transmitters
-    log_snr = math.log(1.0 / sc.dest_rate)
-    total = []
-    for n, t_n in enumerate(_ots_offset_terms(sc), start=1):
-        weight = s if spec.knowledge is Knowledge.BKU else s**n
-        sign = math.comb(n_tx, n) * (-1.0) ** (n + 1)
-        total.append(sign * weight * (log_snr - t_n))
-    return math.fsum(total) / LN2
+    return esr_asymptote(scenario, spec).at_dest_rate(scenario.dest_rate)

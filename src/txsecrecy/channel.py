@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -141,23 +141,6 @@ class HypoexpDist:
         return out
 
 
-@dataclass(frozen=True)
-class MixtureDist:
-    """Point mass at zero plus a continuous part (backhaul down / up)."""
-
-    point_mass_at_zero: float
-    continuous_pdf: Callable[[float], float]
-    continuous_cdf: Callable[[float], float]
-
-    def pdf(self, x: float) -> float:
-        """Density of the continuous part only; the atom is separate."""
-        return self.continuous_pdf(x)
-
-    def cdf(self, x: float) -> float:
-        _require_nonneg(x)
-        return self.point_mass_at_zero + self.continuous_cdf(x)
-
-
 def bka_weight(n_tx: int, n: int, s: float) -> float:
     """Probability C(N,n)(1-s)^(N-n) s^n that exactly n of N backhaul links are up."""
     return math.comb(n_tx, n) * (1.0 - s) ** (n_tx - n) * s**n
@@ -202,14 +185,23 @@ def min_hypoexp_terms(omega: int, rates: Sequence[float]) -> tuple:
     return _min_hypoexp_table(omega, tuple(rates))
 
 
-@functools.lru_cache(maxsize=TERM_TABLE_CACHE_SIZE)
-def _min_hypoexp_table(omega: int, rates: tuple) -> tuple:
-    w = hypoexp_weights(rates)
-    coeffs, lams = [], []
-    for comp in enumerate_compositions(omega, len(rates)):
+def _power_terms(omega: int, w: Sequence[float]):
+    """Yield (i, multinomial(omega; i) prod_k w_k^{i_k}) over compositions i of omega.
+
+    These are the terms of (sum_k w_k a_k)^omega by the multinomial
+    theorem, with the a_k left to the caller.
+    """
+    for comp in enumerate_compositions(omega, len(w)):
         c = float(multinomial(omega, comp))
         for wk, ik in zip(w, comp):
             c *= wk**ik
+        yield comp, c
+
+
+@functools.lru_cache(maxsize=TERM_TABLE_CACHE_SIZE)
+def _min_hypoexp_table(omega: int, rates: tuple) -> tuple:
+    coeffs, lams = [], []
+    for comp, c in _power_terms(omega, hypoexp_weights(rates)):
         coeffs.append(c)
         lams.append(math.fsum(ik * rk for ik, rk in zip(comp, rates)))
     return tuple(coeffs), tuple(lams)
@@ -252,27 +244,6 @@ def min_eave_sel_bka_terms(scenario: Scenario) -> tuple:
         coeffs.extend(p_n * c for c in cs)
         lams.extend(ls)
     return tuple(coeffs), tuple(lams)
-
-
-def min_eave_sel_bka(scenario: Scenario) -> MixtureDist:
-    """BKA minimum eavesdropping SNR: atom (1-s)^N plus continuous part."""
-    atom = (1.0 - scenario.backhaul_reliability) ** scenario.n_transmitters
-    coeffs, lams = min_eave_sel_bka_terms(scenario)
-
-    def cont_pdf(x, _c=coeffs, _l=lams):
-        _require_nonneg(x)
-        return math.fsum(c * lam * math.exp(-lam * x) for c, lam in zip(_c, _l))
-
-    def cont_cdf(x, _c=coeffs, _l=lams):
-        _require_nonneg(x)
-        return math.fsum(c * -math.expm1(-lam * x) for c, lam in zip(_c, _l))
-
-    return MixtureDist(atom, cont_pdf, cont_cdf)
-
-
-def min_eave_sel_bka_pdf(x: float, scenario: Scenario) -> float:
-    """Continuous-part density of the BKA minimum eavesdropping SNR."""
-    return min_eave_sel_bka(scenario).pdf(x)
 
 
 def max_dest_sel_cdf(x: float, scenario: Scenario) -> float:

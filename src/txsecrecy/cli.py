@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import asymptotics, metrics
-from .errors import RateSeparationError, TxSecrecyError, UnsupportedClosedFormError
+from .errors import RateSeparationError, TxSecrecyError
 from .montecarlo import MIN_TRIALS, McConfig, Metric, estimate_many
 from .scenario import ALL_SPECS, Knowledge, Scenario, Scheme, SchemeSpec, scenario_from_db
 
@@ -192,13 +192,6 @@ def _apply_variable(scenario: Scenario, variable: str, x: float) -> Scenario:
     raise ValueError(f"unknown sweep variable {variable!r}")
 
 
-def _esr_asymptote_value(scenario: Scenario, spec: SchemeSpec) -> float:
-    try:
-        return asymptotics.esr_asymptote(scenario, spec).at_dest_rate(scenario.dest_rate)
-    except UnsupportedClosedFormError:
-        return asymptotics.esr_high_snr_ots(scenario, spec)
-
-
 def _exact_value(scenario: Scenario, spec: SchemeSpec, metric: str) -> float:
     if metric == "sop":
         return metrics.sop(scenario, spec)
@@ -243,7 +236,8 @@ def run_sweep(scenario: Scenario, sweep: SweepSpec, out: Path,
                         elif metric == "nzsr":
                             row["asymptote"] = repr(asymptotics.nzsr_asymptote(sc_x, spec))
                         else:
-                            row["asymptote"] = repr(_esr_asymptote_value(sc_x, spec))
+                            line = asymptotics.esr_asymptote(sc_x, spec)
+                            row["asymptote"] = repr(line.at_dest_rate(sc_x.dest_rate))
                 except TxSecrecyError as exc:
                     print(f"x={x} {spec.label} {metric}: {exc}", file=sys.stderr)
                     failures += 1

@@ -37,10 +37,6 @@ def enumerate_compositions(omega: int, k: int) -> Iterator[tuple]:
             yield (first,) + rest
 
 
-def composition_count(omega: int, k: int) -> int:
-    return math.comb(omega + k - 1, k - 1)
-
-
 def multinomial(n: int, parts: Sequence[int]) -> int:
     """Exact multinomial coefficient n! / (i_1! ... i_K!).
 
@@ -135,25 +131,3 @@ def partial_fractions(numerator: float, poles: Sequence[tuple]) -> PartialFracti
         coefficients=tuple(all_coefs),
     )
 
-
-def integrate_partial_fractions_tail(pfe: PartialFractionExpansion, lower: float = 1.0) -> float:
-    """Integrate a partial-fraction expansion from ``lower`` to infinity.
-
-    Requires the simple-pole coefficients to sum to zero (true whenever
-    the original rational function decays at least as 1/x^2), so the
-    logarithmic parts cancel at infinity.  All poles must lie strictly
-    below ``lower``.
-    """
-    simple = [coefs[0] for coefs in pfe.coefficients]
-    total = math.fsum(simple)
-    mag = max(abs(c) for c in simple) if simple else 0.0
-    if mag > 0 and abs(total) > 1e-9 * mag:
-        raise ValueError("log terms do not cancel; integral diverges")
-    terms = []
-    for (loc, mult), coefs in zip(pfe.poles, pfe.coefficients):
-        d = lower - loc
-        if d <= 0:
-            raise ValueError(f"pole at {loc} is not below the lower limit {lower}")
-        terms.append(-coefs[0] * math.log(d))
-        terms.extend(coefs[l - 1] / ((l - 1) * d ** (l - 1)) for l in range(2, mult + 1))
-    return math.fsum(terms)

@@ -75,23 +75,6 @@ _G7_WEIGHTS = np.array((
 ))
 
 
-def _term_integral(mu: float, b: float, y: float) -> float:
-    """Integral of e^{-b(y(x+1)-1)} mu e^{-mu x} over x >= x0.
-
-    x0 = max(0, 1/y - 1) is where the destination CDF argument
-    y(x+1) - 1 becomes nonnegative.  Closed form:
-    mu * exp(-b*max(y-1, 0) - mu*x0) / (b*y + mu).
-    """
-    x0 = max(0.0, 1.0 / y - 1.0)
-    return mu * math.exp(-b * max(y - 1.0, 0.0) - mu * x0) / (b * y + mu)
-
-
-def _sf_at_x0(mu: float, y: float) -> float:
-    """P[term-exponential >= x0] for the truncation point of _term_integral."""
-    x0 = max(0.0, 1.0 / y - 1.0)
-    return math.exp(-mu * x0)
-
-
 class EsrMethod(Enum):
     CLOSED_FORM = "closed_form"
     QUADRATURE = "quadrature"
@@ -101,14 +84,27 @@ class EsrMethod(Enum):
 class RatioCdfEvaluator:
     """Evaluates F(y) of the post-selection SNR ratio for one scenario+scheme.
 
-    For MIN-ES and TTS, F(y) is a sum of exponential terms c_i * term(lam_i,
-    b_i, y), stored as a short tuple of parts (weight, coeffs, lams, b):
-    every term of a part has c_i = weight * coeffs[i], lam_i = lams[i] and
-    the same destination rate multiple b.  The MIN-ES coeffs/lams are the
-    term tables :func:`~txsecrecy.channel.min_hypoexp_terms` caches per
-    (n, eavesdropper rates) and are shared, never copied; s and lambda_D
-    enter only as the scalar weight and b of each part.  Evaluation is a
-    pure function of y and safe for concurrent use.
+    Every scheme reads one term table: a short tuple of parts
+    (weight, coeffs, lams, b), where every term of a part has
+    c_i = weight * coeffs[i], rate lam_i = lams[i] and the same
+    destination rate multiple b.  With x0 = max(0, 1/y - 1), each term
+    contributes c_i lam_i e^{-b (y-1)^+ - lam_i x0} / (b y + lam_i), the
+    integral J_i(y) of the destination tail against the eavesdropper
+    density, and
+
+    - MIN-ES: F = atom + sum_i c_i (e^{-lam_i x0} - J_i), with one part
+      (s, table of the min over N) for BKU and one part per active count
+      n with the BKA weight for BKA; the MIN-ES coeffs/lams are the term
+      tables :func:`~txsecrecy.channel.min_hypoexp_terms` caches per
+      (n, eavesdropper rates), shared, never copied;
+    - TTS: F = head - sum_i c_i J_i over the binomial parts of the max
+      of the destination SNRs, head = P(SE >= x0);
+    - OTS: the single link's g = head - sum_i c_i J_i from its one part
+      (1, hypoexponential weights, eavesdropper rates, lambda_D), and
+      F = (1-s) + s g^N (BKU) or ((1-s) head + s g)^N (BKA).
+
+    s and lambda_D enter only as the scalar weight and b of each part.
+    Evaluation is a pure function of y and safe for concurrent use.
     """
 
     scenario: Scenario
@@ -129,12 +125,12 @@ class RatioCdfEvaluator:
                     for n in range(1, n_tx + 1)
                 )
                 atom = (1.0 - s) ** n_tx
-            # F(y) = atom + sum_i c_i [P(X_i >= x0) - J(lam_i, lam_D, y)]
-            object.__setattr__(self, "_parts", parts)
             object.__setattr__(self, "_atom", atom)
-        elif spec.scheme is Scheme.TTS:
+        else:
             w = hypoexp_weights(lam_e)
-            if spec.knowledge is Knowledge.BKU:
+            if spec.scheme is Scheme.OTS:
+                parts = ((1.0, w, lam_e, lam_d),)
+            elif spec.knowledge is Knowledge.BKU:
                 parts = tuple(
                     (s * math.comb(n_tx, n) * (-1.0) ** (n + 1), w, lam_e, n * lam_d)
                     for n in range(1, n_tx + 1)
@@ -146,22 +142,14 @@ class RatioCdfEvaluator:
                     for n in range(1, n_tx + 1)
                     for q in range(1, n + 1)
                 )
-            # F(y) = P(SE >= x0) - sum c_i J(lam_i, b_i, y); the dead-backhaul
-            # mass sits in the destination mixture, not in a separate atom.
-            object.__setattr__(self, "_parts", parts)
+            # the dead-backhaul mass of TTS sits in the destination
+            # mixture, not in a separate atom
             object.__setattr__(self, "_hypo_w", w)
-        else:  # OTS: power forms of the single-link ratio CDF
-            object.__setattr__(self, "_hypo_w", hypoexp_weights(lam_e))
+        object.__setattr__(self, "_parts", parts)
 
     def parts(self) -> tuple:
-        """The (weight, coeffs, lams, b) parts of the expansion (MIN-ES and TTS)."""
+        """The (weight, coeffs, lams, b) parts of the term table (all schemes)."""
         return self._parts
-
-    def terms(self):
-        """Yield (c_i, lam_i, b_i) for every expanded term (MIN-ES and TTS)."""
-        for weight, coeffs, lams, b in self._parts:
-            for c, lam in zip(coeffs, lams):
-                yield weight * c, lam, b
 
     # -- survival on x >= 1 (ESR integrand) ----------------------------
     @cached_property
@@ -170,19 +158,14 @@ class RatioCdfEvaluator:
 
         Built on first use: most evaluators never integrate the ESR.
         """
-        sc = self.scenario
+        c = np.concatenate([weight * np.array(coeffs) for weight, coeffs, _, _ in self._parts])
+        lam = np.concatenate([np.array(lams) for _, _, lams, _ in self._parts])
+        b = np.concatenate([np.full(len(lams), bp) for _, _, lams, bp in self._parts])
+        scale = 1.0
         if self.spec.scheme is Scheme.OTS:
-            # the single-link tail t; 1 - F is a power of it, whose slope
-            # in t is at most N s
-            c = np.array(self._hypo_w)
-            lam = np.array(sc.eave_rates)
-            b = np.full(lam.size, sc.dest_rate)
-            scale = sc.n_transmitters * sc.s
-        else:
-            c = np.concatenate([weight * np.array(coeffs) for weight, coeffs, _, _ in self._parts])
-            lam = np.concatenate([np.array(lams) for _, _, lams, _ in self._parts])
-            b = np.concatenate([np.full(len(lams), bp) for _, _, lams, bp in self._parts])
-            scale = 1.0
+            # 1 - F is a power of the single-link tail t, whose slope in t
+            # is at most N s
+            scale = self.scenario.n_transmitters * self.scenario.s
         return c * lam, lam, b, scale * float(np.abs(c).sum())
 
     def survival(self, xs: np.ndarray) -> np.ndarray:
@@ -215,28 +198,10 @@ class RatioCdfEvaluator:
         """
         return sys.float_info.epsilon * self._survival_table[3]
 
-    # -- single-link ratio CDF (OTS building block) --------------------
-    def _single_link_cdf(self, y: float) -> float:
-        sc = self.scenario
-        w = self._hypo_w
-        head = math.fsum(wk * _sf_at_x0(lk, y) for wk, lk in zip(w, sc.eave_rates))
-        tail = math.fsum(
-            wk * _term_integral(lk, sc.dest_rate, y) for wk, lk in zip(w, sc.eave_rates)
-        )
-        return head - tail
-
     def _closed_form(self, y: float) -> float:
+        # per-y invariants hoisted out of the term loop, which reads the
+        # parts directly; fsum is correctly rounded in any term order
         sc, spec = self.scenario, self.spec
-        if spec.scheme is Scheme.OTS:
-            g = self._single_link_cdf(y)
-            if spec.knowledge is Knowledge.BKU:
-                return (1.0 - sc.s) + sc.s * g**sc.n_transmitters
-            w = self._hypo_w
-            head = math.fsum(wk * _sf_at_x0(lk, y) for wk, lk in zip(w, sc.eave_rates))
-            return ((1.0 - sc.s) * head + sc.s * g) ** sc.n_transmitters
-        # per-y invariants of _sf_at_x0 and _term_integral, hoisted out of
-        # the term loop, which reads the parts directly (through terms() it
-        # costs a third more); fsum is correctly rounded in any term order
         x0 = max(0.0, 1.0 / y - 1.0)
         ym1 = max(y - 1.0, 0.0)
         exp = math.exp
@@ -248,7 +213,6 @@ class RatioCdfEvaluator:
                 for c, lam in zip(coeffs, lams)
             )
             return self._atom + body
-        # TTS
         head = math.fsum(
             wk * exp(-lk * x0) for wk, lk in zip(self._hypo_w, sc.eave_rates)
         )
@@ -257,7 +221,13 @@ class RatioCdfEvaluator:
             for weight, coeffs, lams, b in self._parts
             for c, lam in zip(coeffs, lams)
         )
-        return head - tail
+        if spec.scheme is Scheme.TTS:
+            return head - tail
+        # OTS: head - tail is the single-link CDF; an inactive transmitter
+        # carries ratio 1/(1 + SE), whose per-link factor is the head
+        if spec.knowledge is Knowledge.BKU:
+            return (1.0 - sc.s) + sc.s * (head - tail) ** sc.n_transmitters
+        return ((1.0 - sc.s) * head + sc.s * (head - tail)) ** sc.n_transmitters
 
     def _definitional(self, y: float) -> float:
         """Quadrature of the defining integral with unexpanded CDFs.

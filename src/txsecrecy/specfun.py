@@ -1,4 +1,4 @@
-"""Exponential-integral and incomplete-gamma kernels.
+"""The fused exponential-integral kernel e^a Ei(-a).
 
 The closed-form ergodic secrecy rates are built from terms of the shape
 e^a * Ei(-a) with ``a`` up to the sum of channel rate parameters; the
@@ -12,13 +12,6 @@ import math
 import scipy.special as sc
 
 from .errors import DomainError
-
-
-def expint_ei(x: float) -> float:
-    """Exponential integral Ei(x) for nonzero real x."""
-    if x == 0.0:
-        raise DomainError("Ei has a logarithmic pole at 0")
-    return float(sc.expi(x))
 
 
 def _e1_scaled_cf(a: float, maxiter: int = 200, tol: float = 1e-15) -> float:
@@ -57,26 +50,3 @@ def exp_scaled_ei(a: float) -> float:
         return -float(math.exp(a) * sc.exp1(a))
     return -_e1_scaled_cf(a)
 
-
-def upper_incomplete_gamma_int(m: int, x: float) -> float:
-    """Upper incomplete gamma Gamma[m, x] for integer m.
-
-    For m >= 1 the finite-sum form Gamma[m, x] = (m-1)! e^-x
-    sum_{j<m} x^j/j! holds for any real x.  For m <= 0 the defining
-    integral only converges for x > 0 and reduces to the generalized
-    exponential integral E_n via Gamma[1-n, x] = x^(1-n) E_n(x).
-    """
-    m = int(m)
-    if m >= 1:
-        if x == 0.0:
-            return float(math.factorial(m - 1))
-        term = 1.0
-        acc = [1.0]
-        for j in range(1, m):
-            term *= x / j
-            acc.append(term)
-        return float(math.factorial(m - 1) * math.exp(-x) * math.fsum(acc))
-    if x <= 0.0:
-        raise DomainError(f"Gamma[{m}, {x}] diverges for nonpositive order at x <= 0")
-    n = 1 - m
-    return float(x ** (1 - n) * sc.expn(n, x))

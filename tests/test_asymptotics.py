@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -9,6 +10,7 @@ from txsecrecy.combinatorics import harmonic
 from conftest import make_scenario
 
 LN2 = math.log(2.0)
+EULER = 0.5772156649015329
 
 
 def test_sop_asymptote_values_and_independence():
@@ -100,9 +102,7 @@ def test_sop_high_snr_approx_rejects_unreliable_backhaul():
 def test_esr_slope_values():
     sc = make_scenario(n=5, s=0.2)
     for spec in ALL_SPECS:
-        slope = tx.esr_asymptote(sc, spec).slope if spec.scheme is not Scheme.OTS else None
-        if spec.scheme is Scheme.OTS:
-            continue
+        slope = tx.esr_asymptote(sc, spec).slope
         if spec.knowledge is Knowledge.BKU:
             assert slope == pytest.approx(0.2 / LN2, rel=1e-14)
         else:
@@ -114,11 +114,23 @@ def test_esr_slope_values():
         )
 
 
+@pytest.mark.parametrize("k", (1, 3, 6))
+def test_esr_slopes_of_all_schemes_are_equal(k):
+    # the slope depends on s (and N for BKA) only: one value per knowledge
+    # case whatever the scheme and the number of eavesdroppers, and one
+    # value for all six specs at s = 1
+    sc = make_scenario(n=4, k=k, s=0.6)
+    for kn in Knowledge:
+        slopes = {tx.esr_asymptote(sc, SchemeSpec(scheme, kn)).slope for scheme in Scheme}
+        assert len(slopes) == 1
+    sc1 = sc.with_reliability(1.0)
+    assert len({tx.esr_asymptote(sc1, spec).slope for spec in ALL_SPECS}) == 1
+
+
 @pytest.mark.parametrize("kn", list(Knowledge), ids=lambda k: k.name)
 @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.name)
 def test_esr_asymptote_line_matches_exact_at_60db(scheme, kn):
-    k = 1 if scheme is Scheme.OTS else 3
-    sc = make_scenario(n=5, k=k, s=0.9, dest_db=60.0)
+    sc = make_scenario(n=5, k=3, s=0.9, dest_db=60.0)
     spec = SchemeSpec(scheme, kn)
     line = tx.esr_asymptote(sc, spec).at_dest_rate(sc.dest_rate)
     exact = tx.esr_quadrature(sc, spec)
@@ -144,10 +156,22 @@ def test_esr_asymptote_offset_db_conversion():
     assert a.offset_db == pytest.approx(a.offset * 10.0 / math.log(10.0), rel=1e-15)
 
 
-def test_esr_asymptote_ots_k3_rejected():
-    sc = make_scenario(n=5, k=3, s=0.9)
-    with pytest.raises(tx.UnsupportedClosedFormError):
-        tx.esr_asymptote(sc, SchemeSpec(Scheme.OTS, Knowledge.BKU))
+def test_esr_asymptote_ots_k3_matches_per_order_sum():
+    # the line through slope and offset equals the per-order form of the
+    # OTS high-SNR value,
+    # sum_n C(N,n)(-1)^{n+1} w_n (ln(1/lambda_D) - gamma - k_n) / ln 2
+    for kn, s, db in itertools.product(Knowledge, (0.3, 0.9), (40.0, 60.0)):
+        spec = SchemeSpec(Scheme.OTS, kn)
+        sc = make_scenario(n=5, k=3, s=s, dest_db=db)
+        log_snr = math.log(1.0 / sc.dest_rate)
+        total = []
+        for n, k_n in enumerate(tx.asymptotics._ots_offset_terms(sc), start=1):
+            weight = s if kn is Knowledge.BKU else s**n
+            sign = math.comb(5, n) * (-1.0) ** (n + 1)
+            total.append(sign * weight * (log_snr - (EULER + k_n)))
+        want = math.fsum(total) / LN2
+        line = tx.esr_asymptote(sc, spec).at_dest_rate(sc.dest_rate)
+        assert line == pytest.approx(want, rel=1e-12)
 
 
 def test_ots_offset_reduces_to_harmonic_form_for_weak_eavesdropper():

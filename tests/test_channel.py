@@ -18,7 +18,7 @@ from txsecrecy.channel import (
     hypoexp_weights,
     max_dest_sel_bka_cdf,
     max_dest_sel_cdf,
-    min_eave_sel_bka,
+    min_eave_sel_bka_terms,
     min_eave_sel_cdf,
     min_eave_sel_pdf,
     min_hypoexp_terms,
@@ -112,6 +112,16 @@ def test_hypoexp_duplicate_rates_rejected():
         HypoexpDist((2.0, 2.0 + 1e-9))
 
 
+@pytest.mark.parametrize("k", range(2, 7))
+def test_jittered_equal_rates_build_a_scenario(k):
+    # the default jitter must clear the separation check it is offered for
+    for rate in (1e-3, 0.5, 40.0):
+        with pytest.raises(RateSeparationError):
+            tx.Scenario(3, k, 0.9, 0.01, (rate,) * k)
+        sc = tx.Scenario(3, k, 0.9, 0.01, tx.jitter_rates((rate,) * k))
+        assert len(set(sc.eave_rates)) == k
+
+
 def test_min_hypoexp_terms_is_survival_power():
     # sum_i c_i e^{-lam_i x} must equal S(x)^omega pointwise
     for omega in (1, 2, 4):
@@ -201,13 +211,22 @@ def test_min_eave_sel_pdf_normalizes():
     assert val == pytest.approx(1.0, rel=1e-8)
 
 
+def _bka_min_cdf(x, sc):
+    """Atom (1-s)^N (no active backhaul) plus the continuous part of the BKA minimum."""
+    coeffs, lams = min_eave_sel_bka_terms(sc)
+    atom = (1.0 - sc.s) ** sc.n_transmitters
+    return atom, atom + math.fsum(c * -math.expm1(-lam * x) for c, lam in zip(coeffs, lams))
+
+
 def test_min_eave_sel_bka_atom_and_normalization():
     sc = make_scenario(n=5, k=3, s=0.2)
-    mix = min_eave_sel_bka(sc)
-    assert mix.point_mass_at_zero == pytest.approx(0.8**5, rel=1e-14)
-    cont, _ = quad(mix.pdf, 0.0, math.inf, limit=300)
-    assert mix.point_mass_at_zero + cont == pytest.approx(1.0, rel=1e-7)
-    assert mix.cdf(1e9) == pytest.approx(1.0, rel=1e-6)
+    coeffs, lams = min_eave_sel_bka_terms(sc)
+    atom, _ = _bka_min_cdf(0.0, sc)
+    assert atom == pytest.approx(0.8**5, rel=1e-14)
+    pdf = lambda x: math.fsum(c * lam * math.exp(-lam * x) for c, lam in zip(coeffs, lams))
+    cont, _ = quad(pdf, 0.0, math.inf, limit=300)
+    assert atom + cont == pytest.approx(1.0, rel=1e-7)
+    assert _bka_min_cdf(1e9, sc)[1] == pytest.approx(1.0, rel=1e-6)
 
 
 def test_min_eave_sel_bka_monte_carlo():
@@ -221,13 +240,11 @@ def test_min_eave_sel_bka_monte_carlo():
         snr += rng.exponential(1.0 / lam, (m, 4))
     snr[~active] = np.inf
     mins = snr.min(axis=1)
-    mix = min_eave_sel_bka(sc)
-    assert (mins == np.inf).mean() == pytest.approx(
-        mix.point_mass_at_zero, abs=0.003
-    )
     x = 2.0
+    atom, cdf = _bka_min_cdf(x, sc)
+    assert (mins == np.inf).mean() == pytest.approx(atom, abs=0.003)
     emp = (mins[np.isfinite(mins)] <= x).mean() * np.isfinite(mins).mean()
-    assert mix.point_mass_at_zero + emp == pytest.approx(mix.cdf(x), abs=0.003)
+    assert atom + emp == pytest.approx(cdf, abs=0.003)
 
 
 def test_max_dest_sel_cdf_is_power_of_exponential():

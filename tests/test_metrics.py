@@ -9,7 +9,7 @@ from scipy.integrate import quad
 
 import txsecrecy as tx
 from txsecrecy import ALL_SPECS, Knowledge, Scheme, SchemeSpec, channel
-from txsecrecy.metrics import LN2, RatioCdfEvaluator, _sf_at_x0, _term_integral
+from txsecrecy.metrics import LN2, RatioCdfEvaluator
 from txsecrecy.specfun import exp_scaled_ei
 
 from conftest import make_scenario
@@ -188,7 +188,7 @@ def test_survival_chunks_give_the_unchunked_values(monkeypatch):
     sc = make_scenario(n=8, k=3, s=0.7)
     ev = RatioCdfEvaluator(sc, SchemeSpec(Scheme.MIN_ES, Knowledge.BKA))
     xs = np.geomspace(1.0, 1e3, 300)
-    n_terms = sum(1 for _ in ev.terms())
+    n_terms = sum(len(coeffs) for _, coeffs, _, _ in ev.parts())
     monkeypatch.setattr(tx.metrics, "_CHUNK_ELEMENTS", xs.size * n_terms)
     whole = ev.survival(xs)
     monkeypatch.setattr(tx.metrics, "_CHUNK_ELEMENTS", 7 * n_terms + 3)
@@ -304,6 +304,26 @@ def _concatenated_table(sc, spec):
     return coeffs, lams, bs
 
 
+def _flat_terms(ev):
+    """(c_i, lam_i, b_i) of every term of the evaluator's parts, weights folded in."""
+    return [
+        (weight * c, lam, b)
+        for weight, coeffs, lams, b in ev.parts()
+        for c, lam in zip(coeffs, lams)
+    ]
+
+
+def _sf_at_x0(mu, y):
+    """P[term exponential >= x0], x0 = max(0, 1/y - 1)."""
+    return math.exp(-mu * max(0.0, 1.0 / y - 1.0))
+
+
+def _term_integral(mu, b, y):
+    """Integral of the destination tail e^{-b(y(x+1)-1)} against mu e^{-mu x} over x >= x0."""
+    x0 = max(0.0, 1.0 / y - 1.0)
+    return mu * math.exp(-b * max(y - 1.0, 0.0) - mu * x0) / (b * y + mu)
+
+
 @pytest.mark.parametrize("scheme", [Scheme.MIN_ES, Scheme.TTS], ids=lambda s: s.name)
 @pytest.mark.parametrize("kn", list(Knowledge), ids=lambda k: k.name)
 def test_streamed_parts_match_concatenated_table_exactly(scheme, kn):
@@ -313,7 +333,7 @@ def test_streamed_parts_match_concatenated_table_exactly(scheme, kn):
     sc = make_scenario(n=12, k=6, s=0.7, dest_db=30.0)
     ev = RatioCdfEvaluator(sc, spec)
     coeffs, lams, bs = _concatenated_table(sc, spec)
-    assert list(ev.terms()) == list(zip(coeffs, lams, bs))
+    assert _flat_terms(ev) == list(zip(coeffs, lams, bs))
     for y in (0.25, 0.9, 1.0, 1.5, 2.0, 7.0, 40.0):
         if scheme is Scheme.MIN_ES:
             atom = 1.0 - sc.s if kn is Knowledge.BKU else (1.0 - sc.s) ** 12
@@ -336,6 +356,31 @@ def test_streamed_parts_match_concatenated_table_exactly(scheme, kn):
     assert tx.esr_closed_form(sc, spec) == max(esr / LN2, 0.0)
 
 
+@pytest.mark.parametrize("kn", list(Knowledge), ids=lambda k: k.name)
+@pytest.mark.parametrize("n", (1, 5, 12))
+@pytest.mark.parametrize("k", (1, 3, 6))
+def test_ots_closed_form_keeps_single_link_bits(kn, n, k):
+    # OTS reads its single-link table from parts(); the single-link CDF
+    # it replaced is kept here as reference, and every bit must agree
+    sc = make_scenario(n=n, k=k, s=0.7, dest_db=30.0)
+    ev = RatioCdfEvaluator(sc, SchemeSpec(Scheme.OTS, kn))
+    w = channel.hypoexp_weights(sc.eave_rates)
+    assert ev.parts() == ((1.0, w, sc.eave_rates, sc.dest_rate),)
+
+    def reference(y):
+        head = math.fsum(wk * _sf_at_x0(lk, y) for wk, lk in zip(w, sc.eave_rates))
+        tail = math.fsum(
+            wk * _term_integral(lk, sc.dest_rate, y) for wk, lk in zip(w, sc.eave_rates)
+        )
+        g = head - tail
+        if kn is Knowledge.BKU:
+            return (1.0 - sc.s) + sc.s * g**sc.n_transmitters
+        return ((1.0 - sc.s) * head + sc.s * g) ** sc.n_transmitters
+
+    for y in (0.25, 0.9, 1.0, 1.5, 7.0):
+        assert ev._closed_form(y).hex() == reference(y).hex()
+
+
 @pytest.mark.parametrize("scheme", [Scheme.MIN_ES, Scheme.TTS], ids=lambda s: s.name)
 @pytest.mark.parametrize("kn", list(Knowledge), ids=lambda k: k.name)
 def test_esr_closed_form_evaluates_shared_factor_once_per_part(scheme, kn, monkeypatch):
@@ -347,12 +392,13 @@ def test_esr_closed_form_evaluates_shared_factor_once_per_part(scheme, kn, monke
     for s, db in ((0.3, 10.0), (0.9, 40.0)):
         sc = make_scenario(n=12, k=6, s=s, dest_db=db)
         ev = RatioCdfEvaluator(sc, spec)
+        terms = _flat_terms(ev)
         per_term = math.fsum(
-            c * (exp_scaled_ei(lam + b) - exp_scaled_ei(b)) for c, lam, b in ev.terms()
+            c * (exp_scaled_ei(lam + b) - exp_scaled_ei(b)) for c, lam, b in terms
         )
         calls.clear()
         assert tx.esr_closed_form(sc, spec).hex() == max(per_term / LN2, 0.0).hex()
-        assert len(calls) == len(ev.parts()) + sum(1 for _ in ev.terms())
+        assert len(calls) == len(ev.parts()) + len(terms)
 
 
 @pytest.mark.parametrize("kn", list(Knowledge), ids=lambda k: k.name)

@@ -1,30 +1,20 @@
 import math
 
 import pytest
+import scipy.special as sc
 from scipy.integrate import quad
 
 from txsecrecy.errors import DomainError
-from txsecrecy.specfun import (
-    exp_scaled_ei,
-    expint_ei,
-    upper_incomplete_gamma_int,
-)
+from txsecrecy.specfun import _e1_scaled_cf, exp_scaled_ei
 
 
 def test_ei_known_value():
-    # Ei(-1) = -E1(1)
-    assert expint_ei(-1.0) == pytest.approx(-0.21938393439552026, rel=1e-12)
-
-
-def test_ei_pole_rejected():
-    with pytest.raises(DomainError):
-        expint_ei(0.0)
+    # Ei(-1) = -E1(1) = -0.21938393439552026..., through the fused kernel
+    assert exp_scaled_ei(1.0) / math.e == pytest.approx(-0.21938393439552026, rel=1e-12)
 
 
 def test_exp_scaled_ei_small_argument():
-    assert exp_scaled_ei(1.0) == pytest.approx(
-        math.e * expint_ei(-1.0), rel=1e-12
-    )
+    assert exp_scaled_ei(1.0) == pytest.approx(math.e * sc.expi(-1.0), rel=1e-12)
 
 
 def test_exp_scaled_ei_matches_quadrature():
@@ -44,10 +34,6 @@ def test_exp_scaled_ei_large_argument_no_overflow():
 
 
 def test_exp_scaled_ei_branches_agree_at_switch():
-    import scipy.special as sc
-
-    from txsecrecy.specfun import _e1_scaled_cf
-
     # both routes evaluated at the same point
     a = 600.0
     assert -_e1_scaled_cf(a) == pytest.approx(
@@ -61,28 +47,3 @@ def test_exp_scaled_ei_domain():
     with pytest.raises(DomainError):
         exp_scaled_ei(-2.0)
 
-
-def test_upper_gamma_positive_order():
-    # Gamma[1, x] = e^-x; Gamma[3, 0] = 2! = 2
-    assert upper_incomplete_gamma_int(1, 2.0) == pytest.approx(math.exp(-2.0), rel=1e-14)
-    assert upper_incomplete_gamma_int(3, 0.0) == 2.0
-    # finite-sum form holds at negative x too
-    ref, _ = quad(lambda t: t**2 * math.exp(-t), -1.0, math.inf)
-    assert upper_incomplete_gamma_int(3, -1.0) == pytest.approx(ref, rel=1e-10)
-
-
-def test_upper_gamma_nonpositive_order_quadrature_oracle():
-    # Gamma[-1, 2] = int_2^inf t^-2 e^-t dt
-    ref, _ = quad(lambda t: t**-2 * math.exp(-t), 2.0, math.inf)
-    assert ref == pytest.approx(0.018767130910245216, rel=1e-8)
-    assert upper_incomplete_gamma_int(-1, 2.0) == pytest.approx(ref, rel=1e-10)
-    assert upper_incomplete_gamma_int(0, 1.0) == pytest.approx(
-        -expint_ei(-1.0), rel=1e-12
-    )
-
-
-def test_upper_gamma_nonpositive_order_domain():
-    with pytest.raises(DomainError):
-        upper_incomplete_gamma_int(-1, -0.5)
-    with pytest.raises(DomainError):
-        upper_incomplete_gamma_int(0, 0.0)
