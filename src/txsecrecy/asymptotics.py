@@ -6,23 +6,23 @@ scheme and of the eavesdroppers.  With perfect backhaul the SOP instead
 decays polynomially with a scheme-dependent diversity order.  The ESR
 grows along a straight line in ln(1/lambda_D) whose slope depends only
 on s (and N in the BKA case), for every scheme and every number of
-eavesdroppers; the power offset is scheme specific.  All six lines come
-from one offset formula over per-term constants, read from the ratio
-CDF's term table for MIN-ES and TTS and from the per-order expansion of
-the selection power form for OTS.
+eavesdroppers; the power offset is scheme specific.  All six lines read
+the ratio CDF's term table: MIN-ES and TTS sum one offset constant per
+term, and OTS integrates the Laplace transform of its single-link table
+once, at any N.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _power_terms, hypoexp_weights
-from .combinatorics import partial_fractions
-from .errors import InvalidRegimeError, UnsupportedClosedFormError
-from .metrics import LN2, RatioCdfEvaluator, sop
+from .channel import hypoexp_weights
+from .errors import InvalidRegimeError, QuadratureError, UnsupportedClosedFormError
+from .metrics import LN2, RatioCdfEvaluator, _adaptive_gk15, sop
 from .scenario import Knowledge, Scenario, Scheme, SchemeSpec
 from .specfun import exp_scaled_ei
 
@@ -153,82 +153,74 @@ def esr_asymptote(scenario: Scenario, spec: SchemeSpec) -> EsrAsymptote:
     - k_i) + o(1), where the weights w_i sum to norm = s (BKU) or
     1 - (1-s)^N (BKA).  So the slope is norm / ln 2, the same for every
     scheme and every number of eavesdroppers, and the offset is
-    gamma + sum_i w_i k_i / norm.  The (w_i, k_i) pairs are
-
-    - MIN-ES and TTS: one per term of :meth:`RatioCdfEvaluator.parts`,
-      w_i = c_i and k_i = ln(b_i/lambda_D) - e^{lam_i} Ei(-lam_i), from
-      integrating the term's 1 - F against dx/x;
-    - OTS: one per order n of the selection power form,
-      w_n = C(N,n)(-1)^{n+1} s (BKU) or s^n (BKA), and k_n = ln n + E_n
-      from :func:`_ots_offset_terms`.
+    gamma + sum_i w_i k_i / norm.  For MIN-ES and TTS the (w_i, k_i) are
+    one pair per term of :meth:`RatioCdfEvaluator.parts`, w_i = c_i and
+    k_i = ln(b_i/lambda_D) - e^{lam_i} Ei(-lam_i), from integrating the
+    term's 1 - F against dx/x.  For OTS the pairs are one per order n of
+    the selection power form, and their sum is the single integral of
+    :func:`_ots_offset`, valid at any N.
     """
     sc = scenario
     s, n_tx = sc.backhaul_reliability, sc.n_transmitters
     norm = s if spec.knowledge is Knowledge.BKU else 1.0 - (1.0 - s) ** n_tx
     if spec.scheme is Scheme.OTS:
-        terms = (
-            math.comb(n_tx, n) * (-1.0) ** (n + 1)
-            * (s if spec.knowledge is Knowledge.BKU else s**n) * k_n
-            for n, k_n in enumerate(_ots_offset_terms(sc), start=1)
-        )
-    else:
-        terms = (
-            (weight * c) * (math.log(b / sc.dest_rate) - exp_scaled_ei(lam))
-            for weight, coeffs, lams, b in RatioCdfEvaluator(sc, spec).parts()
-            for c, lam in zip(coeffs, lams)
-        )
+        ((_, w, lams, _),) = RatioCdfEvaluator(sc, spec).parts()
+        offset = _ots_offset(n_tx, w, lams, 1.0 if spec.knowledge is Knowledge.BKU else s)
+        return EsrAsymptote(norm / LN2, _EULER + offset)
+    terms = (
+        (weight * c) * (math.log(b / sc.dest_rate) - exp_scaled_ei(lam))
+        for weight, coeffs, lams, b in RatioCdfEvaluator(sc, spec).parts()
+        for c, lam in zip(coeffs, lams)
+    )
     return EsrAsymptote(norm / LN2, _EULER + math.fsum(terms) / norm)
 
 
-def _scaled_ei_partial_sums(p: float, l_max: int) -> list:
-    """S_l = sum_{j<=l} I_j(p) with I_j = int_0^inf e^{-p u} (1+u)^{-j} du.
+@functools.lru_cache(maxsize=64)
+def _ots_offset(n_tx: int, w: tuple, lams: tuple, a: float) -> float:
+    """OTS line offset minus gamma, sum_n w_n k_n / norm, as one integral.
 
-    I_1 = e^p E_1(p); the forward recurrence I_j = (1 - p I_{j-1})/(j-1)
-    is stable (the division by j-1 damps roundoff).
+    Order n of the selection power form has weight w_n = C(N,n)
+    (-1)^{n+1} s (BKU) or s^n (BKA) and, by Frullani, constant
+    k_n = int_0^inf (e^{-t} - (e^{-t} T(t))^n) / t dt, where
+    T(t) = sum_k w_k lam_k / (lam_k + t) is the Laplace transform of the
+    single-link table (w, lams).  The binomial sum over n folds into
+
+        int_0^inf g(t) / t dt / head,
+        g(t) = (1 - a e^{-t} T)^N - (1-a)^N - head (1 - e^{-t}),
+
+    with a = 1 (BKU) or s (BKA) and head = 1 - (1-a)^N, so it depends on
+    neither lambda_D nor, for BKU, s.  1 - e^{-t} T is formed from
+    nonnegative parts and g is integrated in u = ln t by the ESR's GK15
+    rule; as |g| <= t head (1 + N (1 + E[SE])) and |g| <= N head e^{-t},
+    the range t in [e^-40 / (1 + N (1 + E[SE])), 40 + ln(1 + N)] leaves
+    out less than e^-40 head.  Raises :class:`QuadratureError` if the
+    error estimate exceeds 1e-10 head.
     """
-    i_j = -exp_scaled_ei(p)  # e^p E_1(p)
-    sums = [i_j]
-    for j in range(2, l_max + 1):
-        i_j = (1.0 - p * i_j) / (j - 1)
-        sums.append(sums[-1] + i_j)
-    return sums
+    head = 1.0 - (1.0 - a) ** n_tx
+    w_arr, lam_arr = np.array(w), np.array(lams)
+    lo = -40.0 - math.log1p(n_tx * (1.0 + math.fsum(1.0 / lk for lk in lams)))
+    hi = math.log(40.0 + math.log1p(n_tx))
 
+    def g(u):
+        t = np.exp(lo + u)
+        # 1 - e^{-t} T(t) = (1 - e^{-t}) + e^{-t} t sum_k w_k / (lam_k + t)
+        miss = -np.expm1(-t) + np.exp(-t) * t * (w_arr / (lam_arr + t[:, None])).sum(axis=1)
+        if a == 1.0:
+            power = miss**n_tx
+        else:
+            # (1 - a + a miss)^N - (1-a)^N, by expm1/log1p where it cancels
+            r = np.minimum(a * miss / (1.0 - a), 1.0)
+            power = np.where(
+                r < 1.0,
+                (1.0 - a) ** n_tx * np.expm1(n_tx * np.log1p(r)),
+                (1.0 - a + a * miss) ** n_tx - (1.0 - a) ** n_tx,
+            )
+        return power + head * np.expm1(-t)
 
-def _ots_offset_terms(scenario: Scenario) -> list:
-    """Per-order offset constants k_n = ln n + E_n of the OTS ESR line.
-
-    The n-th binomial term of the selection power form integrates to
-    ln(1/lambda_D) - (gamma + ln n + E_n) + o(1) as lambda_D -> 0, with
-
-        E_n = int_0^inf e^{-n t} (1 - T(t)^n) / t dt,
-        T(t) = sum_k w_k / (1 + t/lam_k).
-
-    T(t)^n is expanded by the multinomial theorem; each product of
-    (1 + t/lam_k)^{-i_k} factors splits by partial fractions into simple
-    (1 + t/lam_k)^{-l} terms whose integrals against e^{-n t}/t follow
-    from the scaled-Ei recurrence.  Since T(0) = 1 the 1/t singularity
-    cancels and the expansion coefficients sum to one.  For K = 1,
-    lam_E -> 0 recovers the harmonic-number form
-    k_n = ln(1/lam_E) - gamma + H_{n-1}.
-    """
-    lam_e = scenario.eave_rates
-    w = hypoexp_weights(lam_e)
-    terms = []
-    for n in range(1, scenario.n_transmitters + 1):
-        e_n = []
-        for comp, c in _power_terms(n, w):
-            active = [(lk, ik) for lk, ik in zip(lam_e, comp) if ik > 0]
-            numerator = math.prod(lk**ik for lk, ik in active)
-            pfe = partial_fractions(numerator, [(-lk, ik) for lk, ik in active])
-            for (loc, mult), coefs in zip(pfe.poles, pfe.coefficients):
-                lk = -loc
-                s_l = _scaled_ei_partial_sums(n * lk, mult)
-                e_n.extend(
-                    c * b / lk**l * s_l[l - 1]
-                    for l, b in enumerate(coefs, start=1)
-                )
-        terms.append(math.log(n) + math.fsum(e_n))
-    return terms
+    val, err = _adaptive_gk15(g, hi - lo, 1e-15 * head, 1e-14, 1000)
+    if not math.isfinite(val) or err > 1e-10 * head:
+        raise QuadratureError(f"OTS offset integral did not converge: value={val}, err={err}")
+    return val / head
 
 
 def esr_high_snr_ots(scenario: Scenario, spec: SchemeSpec) -> float:

@@ -185,34 +185,28 @@ def min_hypoexp_terms(omega: int, rates: Sequence[float]) -> tuple:
     return _min_hypoexp_table(omega, tuple(rates))
 
 
-def _power_terms(omega: int, w: Sequence[float]):
-    """Yield (i, multinomial(omega; i) prod_k w_k^{i_k}) over compositions i of omega.
-
-    These are the terms of (sum_k w_k a_k)^omega by the multinomial
-    theorem, with the a_k left to the caller.
-    """
-    for comp in enumerate_compositions(omega, len(w)):
+@functools.lru_cache(maxsize=TERM_TABLE_CACHE_SIZE)
+def _min_hypoexp_table(omega: int, rates: tuple) -> tuple:
+    w = hypoexp_weights(rates)
+    coeffs, lams = [], []
+    for comp in enumerate_compositions(omega, len(rates)):
         c = float(multinomial(omega, comp))
         for wk, ik in zip(w, comp):
             c *= wk**ik
-        yield comp, c
-
-
-@functools.lru_cache(maxsize=TERM_TABLE_CACHE_SIZE)
-def _min_hypoexp_table(omega: int, rates: tuple) -> tuple:
-    coeffs, lams = [], []
-    for comp, c in _power_terms(omega, hypoexp_weights(rates)):
         coeffs.append(c)
         lams.append(math.fsum(ik * rk for ik, rk in zip(comp, rates)))
     return tuple(coeffs), tuple(lams)
 
 
 def min_eave_sel_pdf(x: float, scenario: Scenario) -> float:
-    """Density of the minimum MRC eavesdropping SNR over all N transmitters."""
-    _require_nonneg(x)
-    coeffs, lams = min_hypoexp_terms(scenario.n_transmitters, scenario.eave_rates)
-    val = math.fsum(c * lam * math.exp(-lam * x) for c, lam in zip(coeffs, lams))
-    return max(val, 0.0)
+    """Density N f_1(x) S_1(x)^(N-1) of the minimum eavesdropping SNR over N links.
+
+    Formed from the single-link density and survival function, so it
+    needs no multinomial table and holds at any N.
+    """
+    n_tx = scenario.n_transmitters
+    sf = hypoexp_sf(x, scenario.eave_rates)
+    return n_tx * hypoexp_pdf(x, scenario.eave_rates) * sf ** (n_tx - 1)
 
 
 def min_eave_sel_cdf(x: float, scenario: Scenario) -> float:

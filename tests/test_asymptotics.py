@@ -4,13 +4,12 @@ import math
 import pytest
 
 import txsecrecy as tx
-from txsecrecy import ALL_SPECS, Knowledge, Scheme, SchemeSpec
+from txsecrecy import ALL_SPECS, Knowledge, Scheme, SchemeSpec, cli
 from txsecrecy.combinatorics import harmonic
 
 from conftest import make_scenario
 
 LN2 = math.log(2.0)
-EULER = 0.5772156649015329
 
 
 def test_sop_asymptote_values_and_independence():
@@ -156,22 +155,104 @@ def test_esr_asymptote_offset_db_conversion():
     assert a.offset_db == pytest.approx(a.offset * 10.0 / math.log(10.0), rel=1e-15)
 
 
-def test_esr_asymptote_ots_k3_matches_per_order_sum():
-    # the line through slope and offset equals the per-order form of the
-    # OTS high-SNR value,
-    # sum_n C(N,n)(-1)^{n+1} w_n (ln(1/lambda_D) - gamma - k_n) / ln 2
-    for kn, s, db in itertools.product(Knowledge, (0.3, 0.9), (40.0, 60.0)):
-        spec = SchemeSpec(Scheme.OTS, kn)
-        sc = make_scenario(n=5, k=3, s=s, dest_db=db)
-        log_snr = math.log(1.0 / sc.dest_rate)
-        total = []
-        for n, k_n in enumerate(tx.asymptotics._ots_offset_terms(sc), start=1):
-            weight = s if kn is Knowledge.BKU else s**n
-            sign = math.comb(5, n) * (-1.0) ** (n + 1)
-            total.append(sign * weight * (log_snr - (EULER + k_n)))
-        want = math.fsum(total) / LN2
-        line = tx.esr_asymptote(sc, spec).at_dest_rate(sc.dest_rate)
-        assert line == pytest.approx(want, rel=1e-12)
+# OTS offsets of the former per-order partial-fraction expansion at N = 5,
+# keyed by (K, s, knowledge)
+PER_ORDER_OTS_OFFSETS = {
+    (1, 0.3, Knowledge.BKU): 0.36150560332799875,
+    (1, 0.3, Knowledge.BKA): 1.3740932040875364,
+    (1, 0.9, Knowledge.BKU): 0.3615056033279952,
+    (1, 0.9, Knowledge.BKA): 0.44703553176856525,
+    (3, 0.3, Knowledge.BKU): 2.3357786106824943,
+    (3, 0.3, Knowledge.BKA): 3.3318441187206407,
+    (3, 0.9, Knowledge.BKU): 2.335778610682493,
+    (3, 0.9, Knowledge.BKA): 2.4208965330354353,
+}
+
+
+def test_ots_offset_matches_per_order_expansion():
+    for (k, s, kn), want in PER_ORDER_OTS_OFFSETS.items():
+        sc = make_scenario(n=5, k=k, s=s)
+        off = tx.esr_asymptote(sc, SchemeSpec(Scheme.OTS, kn)).offset
+        assert off == pytest.approx(want, rel=1e-12), (k, s, kn)
+
+
+def _mp_ots_offset(n, rates, a, mp):
+    """gamma + int g(e^u) du / head at 40 digits, g as in _ots_offset."""
+    with mp.workdps(40):
+        r = [mp.mpf(v) for v in rates]
+        w = [mp.fprod(r) / (rk * mp.fprod(rj - rk for rj in r if rj != rk)) for rk in r]
+        a = mp.mpf(a)
+        head = 1 - (1 - a) ** n
+
+        def g(u):
+            t = mp.exp(u)
+            laplace = mp.fsum(wk * rk / (rk + t) for wk, rk in zip(w, r))
+            return head * mp.exp(-t) - 1 + (1 - a * mp.exp(-t) * laplace) ** n
+
+        val, err = mp.quad(g, [-90, -45, -20, -10, -6, -4, -2.5, -1, 0, 1, 2, 3, mp.log(300)],
+                           method="gauss-legendre", maxdegree=4, error=True)
+        assert err < 1e-15 * head
+        return mp.euler + val / head
+
+
+@pytest.mark.filterwarnings("ignore::txsecrecy.ConditioningWarning")
+@pytest.mark.parametrize("n", (2, 5, 12, 20, 40))
+@pytest.mark.parametrize("k", (1, 3, 6))
+def test_ots_offset_matches_mpmath(n, k):
+    # BKU integrates with a = 1 whatever s; BKA with a = s
+    mp = pytest.importorskip("mpmath")
+    sc = make_scenario(n=n, k=k)
+    refs = {a: _mp_ots_offset(n, sc.eave_rates, a, mp) for a in (1.0, 0.3, 0.01)}
+    for s, kn in itertools.product((0.01, 0.3, 1.0), Knowledge):
+        off = tx.esr_asymptote(sc.with_reliability(s), SchemeSpec(Scheme.OTS, kn)).offset
+        want = refs[1.0 if kn is Knowledge.BKU else s]
+        assert abs(off - float(want)) <= 1e-12 * abs(float(want)), (s, kn, off, float(want))
+
+
+@pytest.mark.filterwarnings("ignore::txsecrecy.ConditioningWarning")
+@pytest.mark.parametrize("kn", list(Knowledge), ids=lambda k: k.name)
+@pytest.mark.parametrize("n, k", [(12, 6), (20, 3)])
+def test_ots_offset_matches_quadrature_at_80db(n, k, kn):
+    # the former expansion returned -1,750,832 (N=12, K=6) and 4.630
+    # (N=20, K=3) for BKU here
+    sc = make_scenario(n=n, k=k, s=0.9, dest_db=80.0)
+    spec = SchemeSpec(Scheme.OTS, kn)
+    line = tx.esr_asymptote(sc, spec)
+    implied = math.log(1.0 / sc.dest_rate) - tx.esr_quadrature(sc, spec) / line.slope
+    assert line.offset == pytest.approx(implied, abs=1e-6)
+
+
+def test_ots_offset_is_computed_once_per_table(monkeypatch, tmp_path):
+    # the offset depends on neither lambda_D nor, for BKU, s: fig7 sweeps
+    # 31 SNRs over two variants (N=5, K=1, s = 1 and 0.5), whose 124 OTS
+    # ESR asymptote cells need two integrals, a = 1 (BKU, and BKA at
+    # s = 1) and a = 0.5 (BKA at s = 0.5)
+    gk15, calls = tx.asymptotics._adaptive_gk15, []
+    monkeypatch.setattr(
+        tx.asymptotics, "_adaptive_gk15", lambda *args: calls.append(args) or gk15(*args)
+    )
+    tx.asymptotics._ots_offset.cache_clear()
+    assert cli.run_preset("fig7", tmp_path / "fig7.csv", None, "csv", False) == 0
+    assert len(calls) == 2
+
+
+def test_ots_offset_refuses_an_unconverged_integral(monkeypatch):
+    monkeypatch.setattr(tx.asymptotics, "_adaptive_gk15", lambda *args: (1.0, 1e-6))
+    tx.asymptotics._ots_offset.cache_clear()
+    with pytest.raises(tx.QuadratureError):
+        tx.esr_asymptote(make_scenario(), SchemeSpec(Scheme.OTS, Knowledge.BKU))
+    tx.asymptotics._ots_offset.cache_clear()
+
+
+@pytest.mark.parametrize("kn", list(Knowledge), ids=lambda k: k.name)
+def test_ots_offset_does_not_depend_on_dest_snr(kn):
+    spec = SchemeSpec(Scheme.OTS, kn)
+    tx.asymptotics._ots_offset.cache_clear()
+    at0 = tx.esr_asymptote(make_scenario(n=5, k=3, dest_db=0.0), spec)
+    tx.asymptotics._ots_offset.cache_clear()
+    at60 = tx.esr_asymptote(make_scenario(n=5, k=3, dest_db=60.0), spec)
+    assert at0.offset.hex() == at60.offset.hex()
+    assert at0.slope.hex() == at60.slope.hex()
 
 
 def test_ots_offset_reduces_to_harmonic_form_for_weak_eavesdropper():

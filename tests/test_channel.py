@@ -275,17 +275,22 @@ SIX_RATES = (0.25, 0.16, 0.1, 0.063, 0.04, 0.025)
 TAIL_XS = tuple(np.geomspace(1e-6, 400.0, 45)) + (2.0,)
 
 
-def _mp_hypoexp_sf(x, rates, mp):
-    """S(x) = sum_k w_k e^(-r_k x) at the working precision of ``mp``."""
+def _mp_hypoexp_terms(x, rates, mp):
+    """The (w_k, r_k, e^(-r_k x)) of the hypoexponential law at the working precision of ``mp``."""
     r = [mp.mpf(v) for v in rates]
-    total = mp.mpf(0)
+    terms = []
     for k, rk in enumerate(r):
         denom = rk
         for j, rj in enumerate(r):
             if j != k:
                 denom *= rj - rk
-        total += mp.fprod(r) / denom * mp.exp(-rk * mp.mpf(x))
-    return total
+        terms.append((mp.fprod(r) / denom, rk, mp.exp(-rk * mp.mpf(x))))
+    return terms
+
+
+def _mp_hypoexp_sf(x, rates, mp):
+    """S(x) = sum_k w_k e^(-r_k x) at the working precision of ``mp``."""
+    return mp.fsum(wk * ek for wk, _, ek in _mp_hypoexp_terms(x, rates, mp))
 
 
 def _assert_rel(got, want, rel=1e-12):
@@ -308,6 +313,25 @@ def test_min_eave_sel_cdf_left_tail_matches_mpmath(n, k):
         for x in TAIL_XS:
             want = 1 - _mp_hypoexp_sf(x, sc.eave_rates, mp) ** n
             _assert_rel(min_eave_sel_cdf(x, sc), want)
+
+
+@pytest.mark.filterwarnings("ignore::txsecrecy.ConditioningWarning")
+@pytest.mark.parametrize(
+    "n, k, xs", [(5, 3, (1, 10, 100)), (20, 3, (1, 10, 100)), (25, 2, (1, 10, 100)), (12, 6, (10, 100))]
+)
+def test_min_eave_sel_pdf_matches_mpmath(n, k, xs):
+    # N f_1 S_1^(N-1), beyond the multinomial tables' N <= 20; the former
+    # table sum returned 0.1131 for 9.030e-4 at N=12, K=6, x=10.  There
+    # the single-link density's alternating sum costs the most digits
+    # (1.1e-12 relative).
+    mp = pytest.importorskip("mpmath")
+    sc = make_scenario(n=n, k=k)
+    with mp.workdps(60):
+        for x in xs:
+            terms = _mp_hypoexp_terms(x, sc.eave_rates, mp)
+            pdf = mp.fsum(wk * rk * ek for wk, rk, ek in terms)
+            sf = mp.fsum(wk * ek for wk, _, ek in terms)
+            _assert_rel(min_eave_sel_pdf(x, sc), n * pdf * sf ** (n - 1), rel=2e-12)
 
 
 @pytest.mark.parametrize("s", [0.2, 0.9, 1.0])

@@ -107,6 +107,26 @@ def test_sweep_min_es_beyond_expansion_order_is_a_numeric_failure(tmp_path, caps
     assert "MIN-ES expansion" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore::txsecrecy.ConditioningWarning")
+def test_sweep_ots_esr_asymptote_beyond_twenty_transmitters(tmp_path):
+    # the OTS line needs no multinomial table, so every N has its cell
+    scen = tmp_path / "ots.ini"
+    scen.write_text(
+        "[scenario]\nn_transmitters = 18\nn_eavesdroppers = 3\n"
+        "backhaul_reliability = 0.9\ndest_snr_db = 20\neave_snr_db = 6, 9, 13\n"
+        "threshold_rate = 1.0\n\n[sweep]\nvariable = n_transmitters\n"
+        "start = 18\nstop = 24\nstep = 1\nschemes = OTS\noutputs = esr, asymptote\n"
+    )
+    out = tmp_path / "ots.csv"
+    assert cli.main(["sweep", "--scenario", str(scen), "--out", str(out)]) == cli.EXIT_OK
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [float(r["x"]) for r in rows] == [float(n) for n in range(18, 25) for _ in range(2)]
+    for row in rows:
+        assert float(row["exact"]) > 0.0
+        assert float(row["asymptote"]) > 0.0
+
+
 def test_sweep_json_and_metric_override(scen_file, tmp_path):
     out = tmp_path / "out.json"
     rc = cli.main([

@@ -10,9 +10,7 @@ from txsecrecy.combinatorics import (
     enumerate_compositions,
     harmonic,
     multinomial,
-    partial_fractions,
 )
-from txsecrecy.errors import RateSeparationError
 
 
 def test_compositions_small_case():
@@ -67,31 +65,3 @@ def test_harmonic():
     assert harmonic(0) == 0.0
     assert harmonic(1) == 1.0
     assert harmonic(4) == pytest.approx(25.0 / 12.0, rel=1e-15)
-
-
-def test_partial_fractions_simple_poles():
-    # 1/((x-1)(x+2)) = (1/3)/(x-1) - (1/3)/(x+2)
-    pfe = partial_fractions(1.0, [(1.0, 1), (-2.0, 1)])
-    coefs = dict(zip((p for p, _ in pfe.poles), pfe.coefficients))
-    assert coefs[1.0][0] == pytest.approx(1.0 / 3.0, rel=1e-14)
-    assert coefs[-2.0][0] == pytest.approx(-1.0 / 3.0, rel=1e-14)
-
-
-def test_partial_fractions_repeated_pole_reconstructs():
-    pfe = partial_fractions(2.5, [(0.0, 1), (-1.5, 3), (-4.0, 2)])
-    for x in (1.0, 2.0, 3.7, 10.0):
-        direct = 2.5 / (x * (x + 1.5) ** 3 * (x + 4.0) ** 2)
-        assert pfe(x) == pytest.approx(direct, rel=1e-12)
-
-
-def test_partial_fractions_simple_coefficients_sum_to_zero():
-    # rational functions decaying faster than 1/x have cancelling log parts
-    pfe = partial_fractions(1.0, [(0.0, 1), (-2.0, 2)])
-    total = math.fsum(c[0] for c in pfe.coefficients)
-    assert abs(total) < 1e-14
-
-
-def test_partial_fractions_coincident_poles_rejected():
-    with pytest.raises(RateSeparationError):
-        partial_fractions(1.0, [(1.0, 1), (1.0 + 1e-15, 1)])
-
