@@ -272,17 +272,17 @@ def find_sop_crossover(scenario: Scenario, knowledge: Knowledge,
         return None
     while hi_db - lo_db > tol_db:
         mid = 0.5 * (lo_db + hi_db)
-        if f_lo * diff(mid) <= 0:
+        f_mid = diff(mid)
+        if f_lo * f_mid <= 0:
             hi_db = mid
         else:
-            lo_db, f_lo = mid, diff(mid)
+            lo_db, f_lo = mid, f_mid
     return 0.5 * (lo_db + hi_db)
 
 
-def run_preset(name: str, out: Path, mc: McConfig | None, fmt: str,
-               with_mc: bool) -> int:
+def run_preset(name: str, out: Path, mc: McConfig | None, fmt: str) -> int:
     outputs, variants = PRESETS[name]
-    if with_mc and mc is not None:
+    if mc is not None:
         outputs = outputs + ("mc",)
     status = EXIT_OK
     ext = "json" if fmt == "json" else "csv"
@@ -418,7 +418,7 @@ def main(argv=None) -> int:
 
     try:
         if args.preset:
-            return run_preset(args.preset, args.out, mc, args.format, with_mc=mc is not None)
+            return run_preset(args.preset, args.out, mc, args.format)
         if not args.scenario:
             print("sweep requires --scenario or --preset", file=sys.stderr)
             return EXIT_USAGE

@@ -8,8 +8,11 @@ is F(2^threshold_rate), the nonzero-secrecy-rate probability is
 over [1, inf) divided by ln 2 -- evaluated in closed form (MIN-ES, TTS)
 or by adaptive quadrature (all schemes, authoritative for OTS).
 
-SOP and NZSR evaluate F at one point with a correctly rounded sum and
-fall back to the definitional integral where the closed form cancels.
+Every integral in the library runs on one vectorized adaptive
+Gauss-Kronrod 7/15 rule; its callers raise :class:`QuadratureError`
+rather than return an unconverged value.  SOP and NZSR evaluate F at one
+point with a correctly rounded sum and fall back to the definitional
+integral, from x0 = max(0, 1/y - 1), where the closed form cancels.
 The ESR quadrature needs 1 - F only to absolute precision: it integrates
 the closed form's tail sum, evaluated on numpy arrays of nodes, in
 log space v = ln x up to V = ln(1 + (40 + ln N)/lambda_D), where
@@ -27,7 +30,6 @@ from enum import Enum
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import quad
 
 from .channel import bka_weight, check_expansion_order, hypoexp_weights, min_hypoexp_terms
 from .errors import QuadratureError, UnsupportedClosedFormError
@@ -126,30 +128,32 @@ class RatioCdfEvaluator:
                 )
                 atom = (1.0 - s) ** n_tx
             object.__setattr__(self, "_atom", atom)
-        else:
-            w = hypoexp_weights(lam_e)
-            if spec.scheme is Scheme.OTS:
-                parts = ((1.0, w, lam_e, lam_d),)
-            elif spec.knowledge is Knowledge.BKU:
-                parts = tuple(
-                    (s * math.comb(n_tx, n) * (-1.0) ** (n + 1), w, lam_e, n * lam_d)
-                    for n in range(1, n_tx + 1)
-                )
-            else:
-                parts = tuple(
-                    (bka_weight(n_tx, n, s) * math.comb(n, q) * (-1.0) ** (q + 1),
-                     w, lam_e, q * lam_d)
-                    for n in range(1, n_tx + 1)
-                    for q in range(1, n + 1)
-                )
+        elif spec.scheme is Scheme.OTS:
+            parts = ((1.0, self._hypo_w, lam_e, lam_d),)
+        elif spec.knowledge is Knowledge.BKU:
             # the dead-backhaul mass of TTS sits in the destination
             # mixture, not in a separate atom
-            object.__setattr__(self, "_hypo_w", w)
+            parts = tuple(
+                (s * math.comb(n_tx, n) * (-1.0) ** (n + 1), self._hypo_w, lam_e, n * lam_d)
+                for n in range(1, n_tx + 1)
+            )
+        else:
+            parts = tuple(
+                (bka_weight(n_tx, n, s) * math.comb(n, q) * (-1.0) ** (q + 1),
+                 self._hypo_w, lam_e, q * lam_d)
+                for n in range(1, n_tx + 1)
+                for q in range(1, n + 1)
+            )
         object.__setattr__(self, "_parts", parts)
 
     def parts(self) -> tuple:
         """The (weight, coeffs, lams, b) parts of the term table (all schemes)."""
         return self._parts
+
+    @cached_property
+    def _hypo_w(self) -> tuple:
+        """One transmitter's eavesdropper sf weights; MIN-ES reads them only to fall back."""
+        return hypoexp_weights(self.scenario.eave_rates)
 
     # -- survival on x >= 1 (ESR integrand) ----------------------------
     @cached_property
@@ -198,6 +202,11 @@ class RatioCdfEvaluator:
         """
         return sys.float_info.epsilon * self._survival_table[3]
 
+    def _eave_sf(self, x: float) -> float:
+        """P(SE >= x) of one transmitter's colluding eavesdroppers."""
+        rates = self.scenario.eave_rates
+        return math.fsum(wk * math.exp(-lk * x) for wk, lk in zip(self._hypo_w, rates))
+
     def _closed_form(self, y: float) -> float:
         # per-y invariants hoisted out of the term loop, which reads the
         # parts directly; fsum is correctly rounded in any term order
@@ -213,9 +222,7 @@ class RatioCdfEvaluator:
                 for c, lam in zip(coeffs, lams)
             )
             return self._atom + body
-        head = math.fsum(
-            wk * exp(-lk * x0) for wk, lk in zip(self._hypo_w, sc.eave_rates)
-        )
+        head = self._eave_sf(x0)
         tail = math.fsum(
             (weight * c) * (lam * exp(-b * ym1 - lam * x0) / (b * y + lam))
             for weight, coeffs, lams, b in self._parts
@@ -234,65 +241,53 @@ class RatioCdfEvaluator:
 
         Free of alternating-sign cancellation; used when the closed form
         loses all significant digits in its deep left tail (perfect
-        backhaul at high SNR).
+        backhaul at high SNR).  With F_D = 1 - e^{-lambda_D (y (x+1) - 1)},
+        each scheme integrates one kernel against the eavesdropper pdf
+        over x >= x0 = max(0, 1/y - 1), where F_D >= 0: N sf^{N-1} F_D
+        (MIN-ES-BKU), N (1-s+s sf)^{N-1} F_D (MIN-ES-BKA, the minimum over
+        n active transmitters mixed over n), (1-s) + s F_D^N (TTS-BKU),
+        ((1-s) + s F_D)^N (TTS-BKA) or F_D (OTS, then raised to the N-th
+        power as in :meth:`_closed_form`).  With x = x0 + E[SE] t/(1-t) it
+        runs over t in [0, 1] on the shared GK15 rule (1e-13 relative) and
+        raises :class:`QuadratureError` when the value is not finite or
+        its error estimate exceeds 1e-10 |value|.
         """
         sc, spec = self.scenario, self.spec
         lam_d, s, n_tx = sc.dest_rate, sc.s, sc.n_transmitters
-        w = self._hypo_w if spec.scheme is not Scheme.MIN_ES else hypoexp_weights(sc.eave_rates)
+        lam_e, w = np.array(sc.eave_rates), np.array(self._hypo_w)
+        x0 = max(0.0, 1.0 / y - 1.0)
+        mean = float((1.0 / lam_e).sum())
+        bku = spec.knowledge is Knowledge.BKU
 
-        def eave_pdf(x):
-            return math.fsum(wk * lk * math.exp(-lk * x) for wk, lk in zip(w, sc.eave_rates))
+        def integrand(t):
+            x = x0 + mean * t / (1.0 - t)
+            e = np.exp(-x[:, None] * lam_e)
+            fd = -np.expm1(-lam_d * np.maximum(y * (x + 1.0) - 1.0, 0.0))
+            if spec.scheme is Scheme.MIN_ES:
+                sf = e @ w
+                kernel = n_tx * (sf if bku else 1.0 - s + s * sf) ** (n_tx - 1) * fd
+            elif spec.scheme is Scheme.TTS:
+                kernel = (1.0 - s) + s * fd**n_tx if bku else ((1.0 - s) + s * fd) ** n_tx
+            else:
+                kernel = fd
+            return kernel * (e @ (w * lam_e)) * mean / (1.0 - t) ** 2
 
-        def eave_sf(x):
-            return math.fsum(wk * math.exp(-lk * x) for wk, lk in zip(w, sc.eave_rates))
-
+        # at 1e-12 the GK15 estimate passed errors near 1e-11 where F is near 1
+        val, err = _adaptive_gk15(integrand, 1.0, 0.0, 1e-13, 1000)
+        if not math.isfinite(val) or err > 1e-10 * abs(val):
+            raise QuadratureError(
+                f"definitional CDF of {spec.label} did not converge at y={y}: "
+                f"value={val}, err={err}"
+            )
         if spec.scheme is Scheme.MIN_ES:
-            if spec.knowledge is Knowledge.BKU:
-                def integrand(x):
-                    v = y * (x + 1.0) - 1.0
-                    fd = -math.expm1(-lam_d * v) if v > 0 else 0.0
-                    sfx = eave_sf(x)
-                    return fd * n_tx * sfx ** (n_tx - 1) * eave_pdf(x)
-                atom, scale = 1.0 - s, s
-            else:
-                # the minimum over the n active transmitters, mixed over n:
-                # sum_n C(N,n) (1-s)^(N-n) s^n n sf^(n-1) = N s (1 - s + s sf)^(N-1)
-                def integrand(x):
-                    v = y * (x + 1.0) - 1.0
-                    fd = -math.expm1(-lam_d * v) if v > 0 else 0.0
-                    sfx = eave_sf(x)
-                    return fd * n_tx * (1.0 - s + s * sfx) ** (n_tx - 1) * eave_pdf(x)
-                atom, scale = (1.0 - s) ** n_tx, s
-        elif spec.scheme is Scheme.TTS:
-            if spec.knowledge is Knowledge.BKU:
-                def dest_cdf(v):
-                    return (1.0 - s) + s * (-math.expm1(-lam_d * v)) ** n_tx
-            else:
-                def dest_cdf(v):
-                    return ((1.0 - s) + s * (-math.expm1(-lam_d * v))) ** n_tx
-
-            def integrand(x):
-                v = y * (x + 1.0) - 1.0
-                return dest_cdf(v) * eave_pdf(x) if v > 0 else 0.0
-            atom, scale = 0.0, 1.0
-        else:  # OTS
-
-            def single(x):
-                v = y * (x + 1.0) - 1.0
-                return (-math.expm1(-lam_d * v)) * eave_pdf(x) if v > 0 else 0.0
-
-            g, _ = quad(lambda t: single(t / (1 - t)) / (1 - t) ** 2, 0.0, 1.0,
-                        epsabs=0.0, epsrel=1e-12, limit=500)
-            if spec.knowledge is Knowledge.BKU:
-                return (1.0 - s) + s * g**n_tx
-            # an inactive transmitter carries ratio 1/(1 + SE), so its
-            # per-link factor below y = 1 is the eavesdropper sf at x0
-            head = eave_sf(max(0.0, 1.0 / y - 1.0))
-            return ((1.0 - s) * head + s * g) ** n_tx
-
-        val, _ = quad(lambda t: integrand(t / (1 - t)) / (1 - t) ** 2, 0.0, 1.0,
-                      epsabs=0.0, epsrel=1e-12, limit=500)
-        return atom + scale * val
+            return self._atom + s * val
+        if spec.scheme is Scheme.TTS:
+            return val
+        if bku:
+            return (1.0 - s) + s * val**n_tx
+        # an inactive transmitter carries ratio 1/(1 + SE), so its
+        # per-link factor below y = 1 is the eavesdropper sf at x0
+        return ((1.0 - s) * self._eave_sf(x0) + s * val) ** n_tx
 
     def __call__(self, y: float) -> float:
         if y <= 0.0:

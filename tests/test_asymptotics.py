@@ -232,7 +232,7 @@ def test_ots_offset_is_computed_once_per_table(monkeypatch, tmp_path):
         tx.asymptotics, "_adaptive_gk15", lambda *args: calls.append(args) or gk15(*args)
     )
     tx.asymptotics._ots_offset.cache_clear()
-    assert cli.run_preset("fig7", tmp_path / "fig7.csv", None, "csv", False) == 0
+    assert cli.run_preset("fig7", tmp_path / "fig7.csv", None, "csv") == 0
     assert len(calls) == 2
 
 

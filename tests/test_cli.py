@@ -218,6 +218,17 @@ def test_find_sop_crossover():
     assert diff(x - 0.2) * diff(x + 0.2) < 0
 
 
+def test_find_sop_crossover_evaluates_each_point_once(monkeypatch):
+    # two ends and ten halvings of [0, 60] dB down to 0.1 dB, two SOPs each
+    import txsecrecy as tx
+
+    sc = tx.scenario_from_db(5, 3, 0.9, 0.0, [6.0, 9.0, 13.0], threshold_rate=1.0)
+    sop, calls = cli.metrics.sop, []
+    monkeypatch.setattr(cli.metrics, "sop", lambda *args: calls.append(args) or sop(*args))
+    assert cli.find_sop_crossover(sc, Knowledge.BKU) is not None
+    assert len(calls) == 2 * (2 + 10)
+
+
 def test_verify_passes(scen_file, capsys):
     rc = cli.main(["verify", "--scenario", str(scen_file), "--trials", "50000"])
     assert rc == 0

@@ -25,6 +25,101 @@ def test_closed_form_matches_definitional_quadrature(spec):
         assert ev._closed_form(y) == pytest.approx(ev._definitional(y), abs=1e-10)
 
 
+def _reference_definitional(ev, y):
+    """The defining integral by scipy's quad in t = x/(1+x), per-scheme scalar integrands."""
+    sc, spec = ev.scenario, ev.spec
+    lam_d, s, n_tx = sc.dest_rate, sc.s, sc.n_transmitters
+    w = channel.hypoexp_weights(sc.eave_rates)
+
+    def eave_pdf(x):
+        return math.fsum(wk * lk * math.exp(-lk * x) for wk, lk in zip(w, sc.eave_rates))
+
+    def eave_sf(x):
+        return math.fsum(wk * math.exp(-lk * x) for wk, lk in zip(w, sc.eave_rates))
+
+    if spec.scheme is Scheme.MIN_ES:
+        if spec.knowledge is Knowledge.BKU:
+            def integrand(x):
+                v = y * (x + 1.0) - 1.0
+                fd = -math.expm1(-lam_d * v) if v > 0 else 0.0
+                return fd * n_tx * eave_sf(x) ** (n_tx - 1) * eave_pdf(x)
+            atom, scale = 1.0 - s, s
+        else:
+            def integrand(x):
+                v = y * (x + 1.0) - 1.0
+                fd = -math.expm1(-lam_d * v) if v > 0 else 0.0
+                return fd * n_tx * (1.0 - s + s * eave_sf(x)) ** (n_tx - 1) * eave_pdf(x)
+            atom, scale = (1.0 - s) ** n_tx, s
+    elif spec.scheme is Scheme.TTS:
+        if spec.knowledge is Knowledge.BKU:
+            def dest_cdf(v):
+                return (1.0 - s) + s * (-math.expm1(-lam_d * v)) ** n_tx
+        else:
+            def dest_cdf(v):
+                return ((1.0 - s) + s * (-math.expm1(-lam_d * v))) ** n_tx
+
+        def integrand(x):
+            v = y * (x + 1.0) - 1.0
+            return dest_cdf(v) * eave_pdf(x) if v > 0 else 0.0
+        atom, scale = 0.0, 1.0
+    else:
+        def single(x):
+            v = y * (x + 1.0) - 1.0
+            return (-math.expm1(-lam_d * v)) * eave_pdf(x) if v > 0 else 0.0
+
+        g, _ = quad(lambda t: single(t / (1 - t)) / (1 - t) ** 2, 0.0, 1.0,
+                    epsabs=0.0, epsrel=1e-12, limit=500)
+        if spec.knowledge is Knowledge.BKU:
+            return (1.0 - s) + s * g**n_tx
+        return ((1.0 - s) * eave_sf(max(0.0, 1.0 / y - 1.0)) + s * g) ** n_tx
+
+    val, _ = quad(lambda t: integrand(t / (1 - t)) / (1 - t) ** 2, 0.0, 1.0,
+                  epsabs=0.0, epsrel=1e-12, limit=500)
+    return atom + scale * val
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label)
+@pytest.mark.parametrize("args", (
+    dict(n=4, k=3, s=0.7),
+    dict(n=12, k=6, s=0.7, dest_db=30.0),
+    dict(n=5, k=3, s=1.0, dest_db=70.0),
+), ids=("n4k3", "n12k6", "n5k3-70dB"))
+def test_definitional_matches_scalar_quad_reference(args, spec):
+    # the array integrand on the GK15 rule against scalar closures on
+    # scipy's quad: the same integral by two integrators
+    ev = RatioCdfEvaluator(make_scenario(**args), spec)
+    for y in (0.5, 1.0, 2.0, 7.0):
+        want = _reference_definitional(ev, y)
+        assert ev._definitional(y) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("spec", [SchemeSpec(Scheme.TTS, kn) for kn in Knowledge],
+                         ids=lambda s: s.label)
+def test_definitional_sees_the_integrand_at_small_y(spec):
+    # the integrand is zero below x0 = 1/y - 1 = 499; the integral starts there
+    sc = make_scenario(n=4, k=3, s=0.7)
+    want = RatioCdfEvaluator(sc, spec)._closed_form(0.002)
+    assert 0.0 < want < 1e-8
+    assert tx.ratio_cdf(sc, spec, 0.002) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label)
+def test_definitional_refuses_jittered_rates(spec):
+    # six rates 2e-6 apart: sum |w_k| is about 8e27 and the eavesdropper
+    # pdf is rounding noise
+    sc = tx.Scenario(3, 6, 0.9, 0.01, tx.jitter_rates((0.5,) * 6), 1.0)
+    with pytest.raises(tx.QuadratureError):
+        RatioCdfEvaluator(sc, spec)._definitional(2.0)
+
+
+@pytest.mark.parametrize("result", ((0.5, 1e-6), (math.nan, 0.0)), ids=("err", "nan"))
+def test_definitional_refuses_an_unconverged_integral(monkeypatch, result):
+    monkeypatch.setattr(tx.metrics, "_adaptive_gk15", lambda *args: result)
+    sc = make_scenario(n=5, k=3, s=1.0, dest_db=70.0)
+    with pytest.raises(tx.QuadratureError):
+        tx.sop(sc, SchemeSpec(Scheme.TTS, Knowledge.BKU))
+
+
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label)
 def test_ratio_cdf_limits(spec):
     sc = make_scenario()
@@ -249,7 +344,7 @@ def test_definitional_bka_collapse_matches_loop_form():
         return (1.0 - s) ** n_tx + val
 
     for y in (0.5, 1.0, 2.0, 7.0):
-        assert ev._definitional(y) == pytest.approx(loop_form(y), rel=1e-14)
+        assert ev._definitional(y) == pytest.approx(loop_form(y), rel=1e-14, abs=0.0)
 
 
 def test_deep_tail_cancellation_fallback():

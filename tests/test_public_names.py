@@ -6,6 +6,10 @@ there must fail here, not only when the benchmark runs.
 
 import importlib
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -54,3 +58,14 @@ def test_benchmark_bound_name_exists(module, attr, params):
         obj = getattr(obj, part)
     if params is not None:
         assert tuple(inspect.signature(obj).parameters) == params
+
+
+def test_library_does_not_import_scipy_integrate():
+    # every integral in the library runs on the one GK15 rule in metrics;
+    # a fresh interpreter, as pytest's warning filter imports scipy.integrate
+    src = str(Path(tx.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join((src, os.environ.get("PYTHONPATH", "")))}
+    code = "import sys, txsecrecy, txsecrecy.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
