@@ -46,8 +46,15 @@ def hypoexp_weights(rates: Sequence[float]) -> tuple:
 
     S(x) = sum_k w_k e^(-rate_k x) with
     w_k = prod_m rate_m / (rate_k * prod_{j != k} (rate_j - rate_k)).
-    The weights alternate in sign and sum to one.
+    The weights alternate in sign and sum to one.  They are computed
+    once per rate tuple and shared; rates that nearly coincide raise
+    :class:`~txsecrecy.errors.RateSeparationError` on every call.
     """
+    return _hypoexp_weights(tuple(rates))
+
+
+@functools.lru_cache(maxsize=256)
+def _hypoexp_weights(rates: tuple) -> tuple:
     check_rate_separation(rates)
     prod_all = math.prod(rates)
     weights = []
@@ -150,6 +157,9 @@ def bka_weight(n_tx: int, n: int, s: float) -> float:
 #: table per active count n = 1..N) for N up to MULTINOMIAL_MAX_N, so a
 #: sweep alternating between a few eavesdropper configurations keeps all
 #: of them.  The largest set (N = 20, K = 6) holds 230,229 terms, ~15 MB.
+#: SOP and NZSR expand no table above 2,000 terms; only
+#: ``RatioCdfEvaluator.parts()``, the closed-form ESR routes and the
+#: asymptotics build the larger ones.
 TERM_TABLE_CACHE_SIZE = 3 * MULTINOMIAL_MAX_N
 
 
@@ -182,11 +192,17 @@ def min_hypoexp_terms(omega: int, rates: Sequence[float]) -> tuple:
     immutable tuples.
     """
     check_expansion_order(omega)
-    return _min_hypoexp_table(omega, tuple(rates))
+    return _min_hypoexp_table(omega, tuple(rates))[0]
 
 
 @functools.lru_cache(maxsize=TERM_TABLE_CACHE_SIZE)
 def _min_hypoexp_table(omega: int, rates: tuple) -> tuple:
+    """((coeffs, lams), sum_i |c_i|) of :func:`min_hypoexp_terms`.
+
+    The absolute sum scales the rounding bound of the table's
+    alternating sums; it is kept beside the table, so readers of the
+    bound look up nothing more.
+    """
     w = hypoexp_weights(rates)
     coeffs, lams = [], []
     for comp in enumerate_compositions(omega, len(rates)):
@@ -195,7 +211,7 @@ def _min_hypoexp_table(omega: int, rates: tuple) -> tuple:
             c *= wk**ik
         coeffs.append(c)
         lams.append(math.fsum(ik * rk for ik, rk in zip(comp, rates)))
-    return tuple(coeffs), tuple(lams)
+    return (tuple(coeffs), tuple(lams)), math.fsum(abs(c) for c in coeffs)
 
 
 def min_eave_sel_pdf(x: float, scenario: Scenario) -> float:

@@ -11,8 +11,14 @@ or by adaptive quadrature (all schemes, authoritative for OTS).
 Every integral in the library runs on one vectorized adaptive
 Gauss-Kronrod 7/15 rule; its callers raise :class:`QuadratureError`
 rather than return an unconverged value.  SOP and NZSR evaluate F at one
-point with a correctly rounded sum and fall back to the definitional
-integral, from x0 = max(0, 1/y - 1), where the closed form cancels.
+point, either by the closed form's correctly rounded sum or by the
+definitional integral from x0 = max(0, 1/y - 1).  The integral is taken
+where the closed form is below 1e-8 (every scheme) and, for MIN-ES,
+wherever the alternating multinomial table is large or has no digits
+left: above 2,000 terms, where no table is built, and where its rounding
+bound eps sum_i |weight c_i| exceeds 1e-6 min(F, 1 - F).  So a returned
+MIN-ES value is either the closed form within 1e-6 min(F, 1 - F) or the
+integral, which raises when it does not converge.
 The ESR quadrature needs 1 - F only to absolute precision: it integrates
 the closed form's tail sum, evaluated on numpy arrays of nodes, in
 log space v = ln x up to V = ln(1 + (40 + ln N)/lambda_D), where
@@ -31,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel import bka_weight, check_expansion_order, hypoexp_weights, min_hypoexp_terms
+from .channel import _min_hypoexp_table, bka_weight, check_expansion_order, hypoexp_weights
 from .errors import QuadratureError, UnsupportedClosedFormError
 from .scenario import Knowledge, Scenario, Scheme, SchemeSpec
 from .specfun import exp_scaled_ei
@@ -41,6 +47,17 @@ LN2 = math.log(2.0)
 #: Below this value the alternating closed forms of the ratio CDF are
 #: dominated by cancellation and the definitional integral is used instead.
 _CANCELLATION_FLOOR = 1e-8
+
+#: MIN-ES SOP and NZSR integrate rather than expand a term table of more
+#: terms than this; there the definitional integral is the faster route
+#: (about 0.5 ms a value against 0.7 ms for the 3,002 terms of MIN-ES-BKA
+#: at N = 8, K = 6, and 6 ms at N = 12).
+_MAX_TABLE_TERMS = 2000
+
+#: MIN-ES SOP and NZSR take the closed form only while its rounding bound
+#: eps sum_i |weight c_i| is at most this share of min(F, 1 - F)
+#: (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 4).
+_ROUNDING_SHARE = 1e-6
 
 #: Upper bound on the points x terms products :meth:`RatioCdfEvaluator.survival`
 #: forms at once; a MIN-ES-BKA table at N = 12, K = 6 has 18,563 terms.
@@ -75,6 +92,13 @@ _G7_WEIGHTS = np.array((
     0.381830050505118944950369775488975, 0.279705391489276667901467771423780,
     0.129484966168869693270611432679082,
 ))
+
+
+def _min_es_table_terms(n_tx: int, k: int, knowledge: Knowledge) -> int:
+    """Terms of the MIN-ES table: C(N+K-1, K-1) (BKU), or that summed over n = 1..N (BKA)."""
+    if knowledge is Knowledge.BKU:
+        return math.comb(n_tx + k - 1, k - 1)
+    return math.comb(n_tx + k, k) - 1
 
 
 class EsrMethod(Enum):
@@ -114,20 +138,44 @@ class RatioCdfEvaluator:
 
     def __post_init__(self):
         sc, spec = self.scenario, self.spec
-        n_tx, s, lam_d, lam_e = sc.n_transmitters, sc.s, sc.dest_rate, sc.eave_rates
         if spec.scheme is Scheme.MIN_ES:
+            n_tx = sc.n_transmitters
             check_expansion_order(n_tx)
+            bku = spec.knowledge is Knowledge.BKU
+            object.__setattr__(self, "_atom", 1.0 - sc.s if bku else (1.0 - sc.s) ** n_tx)
+            terms = _min_es_table_terms(n_tx, sc.n_eavesdroppers, spec.knowledge)
+            object.__setattr__(self, "_expand", terms <= _MAX_TABLE_TERMS)
+
+    def parts(self) -> tuple:
+        """The (weight, coeffs, lams, b) parts of the term table (all schemes).
+
+        Built on first request, at any table size.
+        """
+        return self._table[0]
+
+    @cached_property
+    def _table(self) -> tuple:
+        """(parts, rounding bound): the term table and eps sum_i |weight c_i| (MIN-ES).
+
+        The bound is 0 for TTS and OTS, whose routes do not read it.
+        """
+        sc, spec = self.scenario, self.spec
+        n_tx, s, lam_d, lam_e = sc.n_transmitters, sc.s, sc.dest_rate, sc.eave_rates
+        abs_sum = 0.0
+        if spec.scheme is Scheme.MIN_ES:
             if spec.knowledge is Knowledge.BKU:
-                parts = ((s, *min_hypoexp_terms(n_tx, lam_e), lam_d),)
-                atom = 1.0 - s
+                (coeffs, lams), abs_sum = _min_hypoexp_table(n_tx, lam_e)
+                parts = ((s, coeffs, lams, lam_d),)
+                abs_sum *= s
             else:
                 # the minimum runs over the n active transmitters
-                parts = tuple(
-                    (bka_weight(n_tx, n, s), *min_hypoexp_terms(n, lam_e), lam_d)
-                    for n in range(1, n_tx + 1)
-                )
-                atom = (1.0 - s) ** n_tx
-            object.__setattr__(self, "_atom", atom)
+                parts = []
+                for n in range(1, n_tx + 1):
+                    weight = bka_weight(n_tx, n, s)
+                    (coeffs, lams), table_abs_sum = _min_hypoexp_table(n, lam_e)
+                    parts.append((weight, coeffs, lams, lam_d))
+                    abs_sum += weight * table_abs_sum
+                parts = tuple(parts)
         elif spec.scheme is Scheme.OTS:
             parts = ((1.0, self._hypo_w, lam_e, lam_d),)
         elif spec.knowledge is Knowledge.BKU:
@@ -144,11 +192,7 @@ class RatioCdfEvaluator:
                 for n in range(1, n_tx + 1)
                 for q in range(1, n + 1)
             )
-        object.__setattr__(self, "_parts", parts)
-
-    def parts(self) -> tuple:
-        """The (weight, coeffs, lams, b) parts of the term table (all schemes)."""
-        return self._parts
+        return parts, sys.float_info.epsilon * abs_sum
 
     @cached_property
     def _hypo_w(self) -> tuple:
@@ -162,9 +206,10 @@ class RatioCdfEvaluator:
 
         Built on first use: most evaluators never integrate the ESR.
         """
-        c = np.concatenate([weight * np.array(coeffs) for weight, coeffs, _, _ in self._parts])
-        lam = np.concatenate([np.array(lams) for _, _, lams, _ in self._parts])
-        b = np.concatenate([np.full(len(lams), bp) for _, _, lams, bp in self._parts])
+        parts = self.parts()
+        c = np.concatenate([weight * np.array(coeffs) for weight, coeffs, _, _ in parts])
+        lam = np.concatenate([np.array(lams) for _, _, lams, _ in parts])
+        b = np.concatenate([np.full(len(lams), bp) for _, _, lams, bp in parts])
         scale = 1.0
         if self.spec.scheme is Scheme.OTS:
             # 1 - F is a power of the single-link tail t, whose slope in t
@@ -218,14 +263,14 @@ class RatioCdfEvaluator:
             body = math.fsum(
                 (weight * c)
                 * (exp(-lam * x0) - lam * exp(-b * ym1 - lam * x0) / (b * y + lam))
-                for weight, coeffs, lams, b in self._parts
+                for weight, coeffs, lams, b in self.parts()
                 for c, lam in zip(coeffs, lams)
             )
             return self._atom + body
         head = self._eave_sf(x0)
         tail = math.fsum(
             (weight * c) * (lam * exp(-b * ym1 - lam * x0) / (b * y + lam))
-            for weight, coeffs, lams, b in self._parts
+            for weight, coeffs, lams, b in self.parts()
             for c, lam in zip(coeffs, lams)
         )
         if spec.scheme is Scheme.TTS:
@@ -239,9 +284,10 @@ class RatioCdfEvaluator:
     def _definitional(self, y: float) -> float:
         """Quadrature of the defining integral with unexpanded CDFs.
 
-        Free of alternating-sign cancellation; used when the closed form
-        loses all significant digits in its deep left tail (perfect
-        backhaul at high SNR).  With F_D = 1 - e^{-lambda_D (y (x+1) - 1)},
+        Free of alternating-sign cancellation; used in the closed form's
+        deep left tail (perfect backhaul at high SNR) and wherever a
+        MIN-ES table is too large or too rounded (see :meth:`__call__`).
+        With F_D = 1 - e^{-lambda_D (y (x+1) - 1)},
         each scheme integrates one kernel against the eavesdropper pdf
         over x >= x0 = max(0, 1/y - 1), where F_D >= 0: N sf^{N-1} F_D
         (MIN-ES-BKU), N (1-s+s sf)^{N-1} F_D (MIN-ES-BKA, the minimum over
@@ -290,12 +336,28 @@ class RatioCdfEvaluator:
         return ((1.0 - s) * self._eave_sf(x0) + s * val) ** n_tx
 
     def __call__(self, y: float) -> float:
+        """F(y), clamped to [0, 1]: the closed form where it is safe, else the integral.
+
+        Every scheme integrates (:meth:`_definitional`) where the closed
+        form is below 1e-8, the deep left tail where its alternating sums
+        cancel.  MIN-ES also integrates when its term table has more than
+        2,000 terms, without building the table, and when the table's
+        rounding bound eps sum_i |weight c_i| exceeds
+        1e-6 min(F, 1 - F), so that both F and 1 - F keep six digits.
+        The integral raises :class:`QuadratureError` rather than return
+        an unconverged value.
+        """
         if y <= 0.0:
             return 0.0
-        val = self._closed_form(y)
-        if val < _CANCELLATION_FLOOR:
-            # deep left tail: alternating sums cancel; integrate instead
+        min_es = self.spec.scheme is Scheme.MIN_ES
+        if min_es and not self._expand:
             val = self._definitional(y)
+        else:
+            val = self._closed_form(y)
+            if val < _CANCELLATION_FLOOR or (
+                min_es and self._table[1] > _ROUNDING_SHARE * min(val, 1.0 - val)
+            ):
+                val = self._definitional(y)
         return min(max(val, 0.0), 1.0)
 
 
@@ -305,12 +367,21 @@ def ratio_cdf(scenario: Scenario, spec: SchemeSpec, y: float) -> float:
 
 
 def sop(scenario: Scenario, spec: SchemeSpec) -> float:
-    """Secrecy outage probability, F(2^threshold_rate)."""
+    """Secrecy outage probability, F(2^threshold_rate).
+
+    From the closed form or the definitional integral, routed as in
+    :meth:`RatioCdfEvaluator.__call__`; MIN-ES builds no term table of
+    more than 2,000 terms here.
+    """
     return RatioCdfEvaluator(scenario, spec)(scenario.rho)
 
 
 def nzsr(scenario: Scenario, spec: SchemeSpec) -> float:
-    """Probability of a strictly positive secrecy rate, 1 - F(1)."""
+    """Probability of a strictly positive secrecy rate, 1 - F(1).
+
+    Routed as :func:`sop`; the MIN-ES rounding bound is held against
+    min(F, 1 - F), so a closed-form 1 - F also keeps six digits.
+    """
     return 1.0 - RatioCdfEvaluator(scenario, spec)(1.0)
 
 

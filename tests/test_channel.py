@@ -112,6 +112,16 @@ def test_hypoexp_duplicate_rates_rejected():
         HypoexpDist((2.0, 2.0 + 1e-9))
 
 
+def test_hypoexp_weights_are_shared_per_rate_tuple():
+    w = hypoexp_weights(RATES)
+    assert hypoexp_weights(RATES) is w
+    assert hypoexp_weights(list(RATES)) is w
+    # a refusal is not cached: equal rates raise on every call
+    for _ in range(3):
+        with pytest.raises(RateSeparationError):
+            hypoexp_weights((1.0, 1.0))
+
+
 @pytest.mark.parametrize("k", range(2, 7))
 def test_jittered_equal_rates_build_a_scenario(k):
     # the default jitter must clear the separation check it is offered for

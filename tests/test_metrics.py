@@ -1,3 +1,4 @@
+import functools
 import math
 from dataclasses import replace
 
@@ -509,3 +510,105 @@ def test_min_es_beyond_expansion_order_raises_domain_error(kn):
     assert channel._min_hypoexp_table.cache_info().misses == 0
     for scheme in (Scheme.TTS, Scheme.OTS):
         assert 0.0 <= tx.sop(sc, SchemeSpec(scheme, kn)) <= 1.0
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_min_table(n, rates, mp):
+    """(c_i, lam_i) of the min of n hypoexponential draws, built in ``mp`` at 50 digits.
+
+    c_i = n! prod_k w_k^i_k / i_k! over the compositions i of n, with
+    the weights w_k formed in mp from the double rates.
+    """
+    with mp.workdps(50):
+        r = [mp.mpf(v) for v in rates]
+        w = []
+        for k, rk in enumerate(r):
+            denom = rk
+            for j, rj in enumerate(r):
+                if j != k:
+                    denom *= rj - rk
+            w.append(mp.fprod(r) / denom)
+        rows = [(mp.mpf(math.factorial(n)), mp.mpf(0), n)]
+        for k in range(len(r)):
+            pw = [w[k] ** i / math.factorial(i) for i in range(n + 1)]
+            rows = [
+                (c * pw[i], lam + i * r[k], left - i)
+                for c, lam, left in rows
+                # the last part takes what is left
+                for i in (range(left + 1) if k < len(r) - 1 else (left,))
+            ]
+        return tuple((c, lam) for c, lam, _ in rows)
+
+
+def _mp_min_es_cdf(sc, kn, y, mp):
+    """F(y >= 1) of MIN-ES summed over the 50-digit tables; x0 is 0 there."""
+    n_tx, s, b, y = sc.n_transmitters, mp.mpf(sc.s), mp.mpf(sc.dest_rate), mp.mpf(y)
+    tail = mp.exp(-b * (y - 1))
+
+    def table_sum(n):
+        return mp.fsum(
+            c * (1 - lam * tail / (b * y + lam)) for c, lam in _mp_min_table(n, sc.eave_rates, mp)
+        )
+
+    if kn is Knowledge.BKU:
+        return 1 - s + s * table_sum(n_tx)
+    return (1 - s) ** n_tx + mp.fsum(
+        math.comb(n_tx, n) * (1 - s) ** (n_tx - n) * s**n * table_sum(n)
+        for n in range(1, n_tx + 1)
+    )
+
+@pytest.mark.filterwarnings("ignore::txsecrecy.ConditioningWarning")
+@pytest.mark.parametrize(
+    "n, k, s, db, kn",
+    [
+        (15, 6, 0.9, 30.0, Knowledge.BKU),  # SOP 0.164325; the closed form gives 1.0
+        (12, 6, 0.9, 10.0, Knowledge.BKA),  # SOP 0.996768; the closed form gives 0.193
+        (12, 6, 1.0, 60.0, Knowledge.BKU),  # SOP 7.9386e-5; the closed form gives 0.551
+        (8, 3, 1.0, 50.0, Knowledge.BKU),  # 45 terms, routed by the rounding bound
+    ],
+)
+def test_routed_min_es_values_match_mpmath_term_table(n, k, s, db, kn):
+    mp = pytest.importorskip("mpmath")
+    sc = tx.scenario_from_db(n, k, s, db, tuple(6.0 + 2.0 * i for i in range(k)), threshold_rate=1.0)
+    spec = SchemeSpec(Scheme.MIN_ES, kn)
+    with mp.workdps(50):
+        want_sop = _mp_min_es_cdf(sc, kn, sc.rho, mp)
+        want_nzsr = 1 - _mp_min_es_cdf(sc, kn, 1.0, mp)
+    for got, want in ((tx.sop(sc, spec), want_sop), (tx.nzsr(sc, spec), want_nzsr)):
+        assert abs(got - float(want)) <= 1e-9 * float(want), (got, float(want))
+
+
+@pytest.mark.parametrize("kn", list(Knowledge), ids=lambda k: k.name)
+def test_min_es_table_size_gate(kn):
+    # the size formulas count the terms of the tables they stand for
+    for n_tx in range(1, 9):
+        for k in range(1, 7):
+            rates = tuple(0.25 / 1.6**i for i in range(k))
+            orders = (n_tx,) if kn is Knowledge.BKU else range(1, n_tx + 1)
+            size = sum(len(channel.min_hypoexp_terms(n, rates)[0]) for n in orders)
+            assert tx.metrics._min_es_table_terms(n_tx, k, kn) == size
+    # SOP and NZSR above the limit build no table; parts() still does
+    sc = make_scenario(n=12, k=6, s=0.7, dest_db=30.0)
+    spec = SchemeSpec(Scheme.MIN_ES, kn)
+    assert tx.metrics._min_es_table_terms(12, 6, kn) > tx.metrics._MAX_TABLE_TERMS
+    channel._min_hypoexp_table.cache_clear()
+    tx.sop(sc, spec)
+    tx.nzsr(sc, spec)
+    assert channel._min_hypoexp_table.cache_info().misses == 0
+    parts = RatioCdfEvaluator(sc, spec).parts()
+    assert sum(len(coeffs) for _, coeffs, _, _ in parts) == tx.metrics._min_es_table_terms(12, 6, kn)
+    assert len(parts) == (1 if kn is Knowledge.BKU else 12)
+
+
+@pytest.mark.parametrize("kn", list(Knowledge), ids=lambda k: k.name)
+def test_rounding_bound_guards_one_minus_f(kn):
+    # N=5, K=6, s=0.5, 0 dB: F(1) is 1 - 3.5e-7, where the closed form's
+    # rounding is small next to F but not next to 1 - F (NZSR 1.3e-3 off
+    # for BKU, 7.9e-5 for BKA).  The integral forms F, not 1 - F, so NZSR
+    # keeps about eight digits here, not nine.
+    mp = pytest.importorskip("mpmath")
+    sc = tx.scenario_from_db(5, 6, 0.5, 0.0, tuple(6.0 + 2.0 * i for i in range(6)), threshold_rate=1.0)
+    with mp.workdps(50):
+        want = 1 - _mp_min_es_cdf(sc, kn, 1.0, mp)
+    got = tx.nzsr(sc, SchemeSpec(Scheme.MIN_ES, kn))
+    assert abs(got - float(want)) <= 1e-6 * float(want), (got, float(want))
