@@ -19,7 +19,6 @@ from .asymptotics import (
 )
 from .channel import HypoexpDist
 from .errors import (
-    ConditioningWarning,
     DomainError,
     InvalidRegimeError,
     QuadratureError,
@@ -55,7 +54,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALL_SPECS",
-    "ConditioningWarning",
     "DiversityFit",
     "DomainError",
     "EsrAsymptote",

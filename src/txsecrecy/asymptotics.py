@@ -6,10 +6,10 @@ scheme and of the eavesdroppers.  With perfect backhaul the SOP instead
 decays polynomially with a scheme-dependent diversity order.  The ESR
 grows along a straight line in ln(1/lambda_D) whose slope depends only
 on s (and N in the BKA case), for every scheme and every number of
-eavesdroppers; the power offset is scheme specific.  All six lines read
-the ratio CDF's term table: MIN-ES and TTS sum one offset constant per
-term, and OTS integrates the Laplace transform of its single-link table
-once, at any N.
+eavesdroppers; the power offset is scheme specific.  TTS sums one offset
+constant per term of the ratio CDF's term table; MIN-ES integrates
+ln(1 + x) over the selected eavesdropper, and OTS the Laplace transform
+of its single-link table, each once per table and at any N.
 """
 
 from __future__ import annotations
@@ -20,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import hypoexp_weights
 from .errors import InvalidRegimeError, QuadratureError, UnsupportedClosedFormError
-from .metrics import LN2, RatioCdfEvaluator, _adaptive_gk15, sop
+from .metrics import LN2, RatioCdfEvaluator, _adaptive_gk15, _min_eave_integral, sop
 from .scenario import Knowledge, Scenario, Scheme, SchemeSpec
 from .specfun import exp_scaled_ei
 
@@ -116,34 +115,24 @@ def sop_high_snr_approx(scenario: Scenario, spec: SchemeSpec) -> float:
     scheme reduces to moments of the eavesdropping SNR:
 
     - MIN-ES: lambda_D * (rho * E[min SE] + rho - 1)
-    - TTS:    lambda_D^N * E[(rho(SE+1)-1)^N] by binomial expansion
+    - TTS:    lambda_D^N * E[(rho(SE+1)-1)^N]
     - OTS:    (lambda_D * (rho * E[SE] + rho - 1))^N
+
+    The MIN-ES and TTS moments are unexpanded integrals over the (least)
+    eavesdropping SNR, :func:`~txsecrecy.metrics._min_eave_integral`.
     """
     if scenario.backhaul_reliability < 1.0:
         raise InvalidRegimeError("high-SNR SOP approximation assumes s = 1")
     lam_d, rho = scenario.dest_rate, scenario.rho
-    lam_e = scenario.eave_rates
+    lam_e, n_tx = scenario.eave_rates, scenario.n_transmitters
     if spec.scheme is Scheme.MIN_ES:
-        # at s = 1 the term table is the min over all N links, weight 1
-        mean_min = math.fsum(
-            weight * c / lam
-            for weight, coeffs, lams, _ in RatioCdfEvaluator(scenario, spec).parts()
-            for c, lam in zip(coeffs, lams)
-        )
+        mean_min = _min_eave_integral(lam_e, n_tx, 1.0, lambda x: x)
         return lam_d * (rho * mean_min + rho - 1.0)
     if spec.scheme is Scheme.OTS:
         mean_se = math.fsum(1.0 / lk for lk in lam_e)
-        return (lam_d * (rho * mean_se + rho - 1.0)) ** scenario.n_transmitters
-    # TTS: E[SE^n] = n! * sum_k w_k / lam_k^n over the survival weights
-    w = hypoexp_weights(lam_e)
-    n_tx = scenario.n_transmitters
-    total = []
-    for n in range(0, n_tx + 1):
-        moment = math.factorial(n) * math.fsum(
-            wk / lk**n for wk, lk in zip(w, lam_e)
-        )
-        total.append(math.comb(n_tx, n) * rho**n * (rho - 1.0) ** (n_tx - n) * moment)
-    return lam_d**n_tx * math.fsum(total)
+        return (lam_d * (rho * mean_se + rho - 1.0)) ** n_tx
+    moment = _min_eave_integral(lam_e, 1, 1.0, lambda x: (rho * (x + 1.0) - 1.0) ** n_tx)
+    return lam_d**n_tx * moment
 
 
 def esr_asymptote(scenario: Scenario, spec: SchemeSpec) -> EsrAsymptote:
@@ -153,26 +142,41 @@ def esr_asymptote(scenario: Scenario, spec: SchemeSpec) -> EsrAsymptote:
     - k_i) + o(1), where the weights w_i sum to norm = s (BKU) or
     1 - (1-s)^N (BKA).  So the slope is norm / ln 2, the same for every
     scheme and every number of eavesdroppers, and the offset is
-    gamma + sum_i w_i k_i / norm.  For MIN-ES and TTS the (w_i, k_i) are
-    one pair per term of :meth:`RatioCdfEvaluator.parts`, w_i = c_i and
+    gamma + sum_i w_i k_i / norm.  For TTS the (w_i, k_i) are one pair
+    per term of :meth:`RatioCdfEvaluator.parts`, w_i = c_i and
     k_i = ln(b_i/lambda_D) - e^{lam_i} Ei(-lam_i), from integrating the
-    term's 1 - F against dx/x.  For OTS the pairs are one per order n of
-    the selection power form, and their sum is the single integral of
-    :func:`_ots_offset`, valid at any N.
+    term's 1 - F against dx/x.  For MIN-ES the sum is E[ln(1 + X)] over
+    the selected eavesdropping SNR X (:func:`_min_es_offset`), and for
+    OTS it is one per order n of the selection power form, summed by the
+    single integral of :func:`_ots_offset`; both are valid at any N.
     """
     sc = scenario
     s, n_tx = sc.backhaul_reliability, sc.n_transmitters
     norm = s if spec.knowledge is Knowledge.BKU else 1.0 - (1.0 - s) ** n_tx
+    a = 1.0 if spec.knowledge is Knowledge.BKU else s
+    if spec.scheme is Scheme.MIN_ES:
+        return EsrAsymptote(norm / LN2, _EULER + _min_es_offset(n_tx, sc.eave_rates, a))
     if spec.scheme is Scheme.OTS:
         ((_, w, lams, _),) = RatioCdfEvaluator(sc, spec).parts()
-        offset = _ots_offset(n_tx, w, lams, 1.0 if spec.knowledge is Knowledge.BKU else s)
-        return EsrAsymptote(norm / LN2, _EULER + offset)
+        return EsrAsymptote(norm / LN2, _EULER + _ots_offset(n_tx, w, lams, a))
     terms = (
         (weight * c) * (math.log(b / sc.dest_rate) - exp_scaled_ei(lam))
         for weight, coeffs, lams, b in RatioCdfEvaluator(sc, spec).parts()
         for c, lam in zip(coeffs, lams)
     )
     return EsrAsymptote(norm / LN2, _EULER + math.fsum(terms) / norm)
+
+
+@functools.lru_cache(maxsize=64)
+def _min_es_offset(n_tx: int, rates: tuple, a: float) -> float:
+    """MIN-ES line offset minus gamma, E[ln(1 + X)] over the selected eavesdropping SNR X.
+
+    As lambda_D -> 0 the MIN-ES ESR kernel e^{lambda_D} E1(lambda_D (1+x))
+    is ln(1/lambda_D) - gamma - ln(1+x) + o(1); X has mass 1 - (1-a)^N,
+    a = 1 (BKU) or s (BKA), so the offset depends on neither lambda_D
+    nor, for BKU, s.
+    """
+    return a * _min_eave_integral(rates, n_tx, a, np.log1p) / (1.0 - (1.0 - a) ** n_tx)
 
 
 @functools.lru_cache(maxsize=64)

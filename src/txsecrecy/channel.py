@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .combinatorics import MULTINOMIAL_MAX_N, enumerate_compositions, multinomial
+from .combinatorics import enumerate_compositions, multinomial
 from .errors import DomainError
 from .scenario import Scenario, check_rate_separation
 
@@ -154,26 +154,9 @@ def bka_weight(n_tx: int, n: int, s: float) -> float:
 
 
 #: Term tables kept by :func:`min_hypoexp_terms`: three full BKA sets (one
-#: table per active count n = 1..N) for N up to MULTINOMIAL_MAX_N, so a
-#: sweep alternating between a few eavesdropper configurations keeps all
-#: of them.  The largest set (N = 20, K = 6) holds 230,229 terms, ~15 MB.
-#: SOP and NZSR expand no table above 2,000 terms; only
-#: ``RatioCdfEvaluator.parts()``, the closed-form ESR routes and the
-#: asymptotics build the larger ones.
-TERM_TABLE_CACHE_SIZE = 3 * MULTINOMIAL_MAX_N
-
-
-def check_expansion_order(omega: int) -> None:
-    """Raise :class:`DomainError` if the min-of-``omega`` expansion is unsupported.
-
-    The multinomial coefficients are exact only up to
-    :data:`~txsecrecy.combinatorics.MULTINOMIAL_MAX_N` draws.
-    """
-    if omega > MULTINOMIAL_MAX_N:
-        raise DomainError(
-            f"the MIN-ES expansion supports at most {MULTINOMIAL_MAX_N} "
-            f"transmitters, got {omega}"
-        )
+#: table per n = 1..N) of the at most 2,000 terms the metrics expand (N = 20
+#: at K = 3), a few hundred kB, for a sweep over a few eavesdropper sets.
+TERM_TABLE_CACHE_SIZE = 60
 
 
 def min_hypoexp_terms(omega: int, rates: Sequence[float]) -> tuple:
@@ -191,7 +174,6 @@ def min_hypoexp_terms(omega: int, rates: Sequence[float]) -> tuple:
     :data:`TERM_TABLE_CACHE_SIZE` tables; callers share the returned
     immutable tuples.
     """
-    check_expansion_order(omega)
     return _min_hypoexp_table(omega, tuple(rates))[0]
 
 

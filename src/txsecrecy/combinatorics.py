@@ -10,10 +10,6 @@ from __future__ import annotations
 import math
 from typing import Iterator, Sequence
 
-#: Largest n for which multinomial coefficients are computed.
-MULTINOMIAL_MAX_N = 20
-
-
 def enumerate_compositions(omega: int, k: int) -> Iterator[tuple]:
     """Yield all compositions of ``omega`` into ``k`` nonnegative parts.
 
@@ -35,14 +31,10 @@ def enumerate_compositions(omega: int, k: int) -> Iterator[tuple]:
 def multinomial(n: int, parts: Sequence[int]) -> int:
     """Exact multinomial coefficient n! / (i_1! ... i_K!).
 
-    Integer arithmetic throughout; ``n`` beyond
-    :data:`MULTINOMIAL_MAX_N` is rejected rather than silently losing
-    precision downstream.
+    Integer arithmetic throughout, so exact at any ``n``.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n > MULTINOMIAL_MAX_N:
-        raise ValueError(f"multinomial(n={n}) exceeds supported n <= {MULTINOMIAL_MAX_N}")
     if any(p < 0 for p in parts):
         raise ValueError("parts must be nonnegative")
     if sum(parts) != n:

@@ -28,7 +28,3 @@ class InvalidRegimeError(TxSecrecyError):
 
 class QuadratureError(TxSecrecyError):
     """Adaptive quadrature failed to converge."""
-
-
-class ConditioningWarning(UserWarning):
-    """Alternating-sign sums may lose precision for large N or K."""

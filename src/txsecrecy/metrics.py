@@ -10,21 +10,17 @@ or by adaptive quadrature (all schemes, authoritative for OTS).
 
 Every integral in the library runs on one vectorized adaptive
 Gauss-Kronrod 7/15 rule; its callers raise :class:`QuadratureError`
-rather than return an unconverged value.  SOP and NZSR evaluate F at one
-point, either by the closed form's correctly rounded sum or by the
-definitional integral from x0 = max(0, 1/y - 1).  The integral is taken
-where the closed form is below 1e-8 (every scheme) and, for MIN-ES,
-wherever the alternating multinomial table is large or has no digits
-left: above 2,000 terms, where no table is built, and where its rounding
-bound eps sum_i |weight c_i| exceeds 1e-6 min(F, 1 - F).  So a returned
-MIN-ES value is either the closed form within 1e-6 min(F, 1 - F) or the
-integral, which raises when it does not converge.
-The ESR quadrature needs 1 - F only to absolute precision: it integrates
-the closed form's tail sum, evaluated on numpy arrays of nodes, in
-log space v = ln x up to V = ln(1 + (40 + ln N)/lambda_D), where
-1 - F <= N e^{-lambda_D (x-1)} is below e^-40, and refuses
-(:class:`QuadratureError`) a term table whose worst-case rounding error
-over that range exceeds 1e-6 bits.
+rather than return an unconverged value.  A MIN-ES term table is summed
+only while it has at most 2,000 terms (above that none is built) and its
+rounding bound is at most 1e-6 of the value (of min(F, 1 - F) for SOP and
+NZSR); elsewhere the value is one integral of a kernel against the
+density of the selected eavesdropping SNR, :func:`_min_eave_integral`,
+at any N.  Every scheme also integrates F where its closed form is below
+1e-8.  For TTS and OTS the ESR quadrature integrates the closed form's
+tail sum 1 - F, evaluated on numpy arrays of nodes, in log space up to
+V = ln(1 + (40 + ln N)/lambda_D), where 1 - F <= N e^{-lambda_D (x-1)}
+is below e^-40, and refuses (:class:`QuadratureError`) a term table
+whose worst-case rounding error over that range exceeds 1e-6 bits.
 """
 
 from __future__ import annotations
@@ -37,7 +33,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel import _min_hypoexp_table, bka_weight, check_expansion_order, hypoexp_weights
+from scipy.special import exp1
+
+from .channel import _min_hypoexp_table, bka_weight, hypoexp_weights
 from .errors import QuadratureError, UnsupportedClosedFormError
 from .scenario import Knowledge, Scenario, Scheme, SchemeSpec
 from .specfun import exp_scaled_ei
@@ -48,19 +46,20 @@ LN2 = math.log(2.0)
 #: dominated by cancellation and the definitional integral is used instead.
 _CANCELLATION_FLOOR = 1e-8
 
-#: MIN-ES SOP and NZSR integrate rather than expand a term table of more
-#: terms than this; there the definitional integral is the faster route
-#: (about 0.5 ms a value against 0.7 ms for the 3,002 terms of MIN-ES-BKA
-#: at N = 8, K = 6, and 6 ms at N = 12).
+#: MIN-ES SOP, NZSR and ESR integrate rather than expand a term table of
+#: more terms than this; there the integral is the faster route (about
+#: 0.5 ms a value against 0.7 ms for the 3,002 terms of MIN-ES-BKA at
+#: N = 8, K = 6, and 6 ms at N = 12).
 _MAX_TABLE_TERMS = 2000
 
-#: MIN-ES SOP and NZSR take the closed form only while its rounding bound
-#: eps sum_i |weight c_i| is at most this share of min(F, 1 - F)
-#: (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 4).
+#: A closed form is taken only while its rounding bound eps sum_i |t_i|
+#: over its terms t_i is at most this share of the value: min(F, 1 - F)
+#: for MIN-ES SOP and NZSR, the ESR for MIN-ES and TTS (Higham, Accuracy
+#: and Stability of Numerical Algorithms, 2nd ed., ch. 4).
 _ROUNDING_SHARE = 1e-6
 
 #: Upper bound on the points x terms products :meth:`RatioCdfEvaluator.survival`
-#: forms at once; a MIN-ES-BKA table at N = 12, K = 6 has 18,563 terms.
+#: forms at once; a TTS-BKA table at N = 40, K = 6 has 4,920 terms.
 _CHUNK_ELEMENTS = 1 << 16
 
 #: QUADPACK's Gauss-Kronrod 7/15 rule on [-1, 1]: the 15 Kronrod nodes in
@@ -140,7 +139,6 @@ class RatioCdfEvaluator:
         sc, spec = self.scenario, self.spec
         if spec.scheme is Scheme.MIN_ES:
             n_tx = sc.n_transmitters
-            check_expansion_order(n_tx)
             bku = spec.knowledge is Knowledge.BKU
             object.__setattr__(self, "_atom", 1.0 - sc.s if bku else (1.0 - sc.s) ** n_tx)
             terms = _min_es_table_terms(n_tx, sc.n_eavesdroppers, spec.knowledge)
@@ -196,7 +194,7 @@ class RatioCdfEvaluator:
 
     @cached_property
     def _hypo_w(self) -> tuple:
-        """One transmitter's eavesdropper sf weights; MIN-ES reads them only to fall back."""
+        """One transmitter's eavesdropper sf weights (the TTS and OTS tables)."""
         return hypoexp_weights(self.scenario.eave_rates)
 
     # -- survival on x >= 1 (ESR integrand) ----------------------------
@@ -285,50 +283,29 @@ class RatioCdfEvaluator:
         """Quadrature of the defining integral with unexpanded CDFs.
 
         Free of alternating-sign cancellation; used in the closed form's
-        deep left tail (perfect backhaul at high SNR) and wherever a
-        MIN-ES table is too large or too rounded (see :meth:`__call__`).
-        With F_D = 1 - e^{-lambda_D (y (x+1) - 1)},
-        each scheme integrates one kernel against the eavesdropper pdf
-        over x >= x0 = max(0, 1/y - 1), where F_D >= 0: N sf^{N-1} F_D
-        (MIN-ES-BKU), N (1-s+s sf)^{N-1} F_D (MIN-ES-BKA, the minimum over
-        n active transmitters mixed over n), (1-s) + s F_D^N (TTS-BKU),
-        ((1-s) + s F_D)^N (TTS-BKA) or F_D (OTS, then raised to the N-th
-        power as in :meth:`_closed_form`).  With x = x0 + E[SE] t/(1-t) it
-        runs over t in [0, 1] on the shared GK15 rule (1e-13 relative) and
-        raises :class:`QuadratureError` when the value is not finite or
-        its error estimate exceeds 1e-10 |value|.
+        deep left tail and wherever a MIN-ES table is too large or too
+        rounded (see :meth:`__call__`).  :func:`_min_eave_integral` takes,
+        over x >= x0 = max(0, 1/y - 1), F_D = 1 - e^{-lambda_D (y (x+1) - 1)}
+        over the least of N eavesdropping SNRs, each present with
+        probability 1 (BKU) or s (BKA) (MIN-ES), or, over one link,
+        (1-s) + s F_D^N (TTS-BKU), ((1-s) + s F_D)^N (TTS-BKA) or F_D
+        (OTS, then raised to the N-th power as in :meth:`_closed_form`).
         """
         sc, spec = self.scenario, self.spec
-        lam_d, s, n_tx = sc.dest_rate, sc.s, sc.n_transmitters
-        lam_e, w = np.array(sc.eave_rates), np.array(self._hypo_w)
+        lam_d, s, n_tx, rates = sc.dest_rate, sc.s, sc.n_transmitters, sc.eave_rates
         x0 = max(0.0, 1.0 / y - 1.0)
-        mean = float((1.0 / lam_e).sum())
         bku = spec.knowledge is Knowledge.BKU
 
-        def integrand(t):
-            x = x0 + mean * t / (1.0 - t)
-            e = np.exp(-x[:, None] * lam_e)
-            fd = -np.expm1(-lam_d * np.maximum(y * (x + 1.0) - 1.0, 0.0))
-            if spec.scheme is Scheme.MIN_ES:
-                sf = e @ w
-                kernel = n_tx * (sf if bku else 1.0 - s + s * sf) ** (n_tx - 1) * fd
-            elif spec.scheme is Scheme.TTS:
-                kernel = (1.0 - s) + s * fd**n_tx if bku else ((1.0 - s) + s * fd) ** n_tx
-            else:
-                kernel = fd
-            return kernel * (e @ (w * lam_e)) * mean / (1.0 - t) ** 2
+        def fd(x):
+            return -np.expm1(-lam_d * np.maximum(y * (x + 1.0) - 1.0, 0.0))
 
-        # at 1e-12 the GK15 estimate passed errors near 1e-11 where F is near 1
-        val, err = _adaptive_gk15(integrand, 1.0, 0.0, 1e-13, 1000)
-        if not math.isfinite(val) or err > 1e-10 * abs(val):
-            raise QuadratureError(
-                f"definitional CDF of {spec.label} did not converge at y={y}: "
-                f"value={val}, err={err}"
-            )
         if spec.scheme is Scheme.MIN_ES:
-            return self._atom + s * val
+            return self._atom + s * _min_eave_integral(rates, n_tx, 1.0 if bku else s, fd, x0)
         if spec.scheme is Scheme.TTS:
-            return val
+            if bku:
+                return _min_eave_integral(rates, 1, 1.0, lambda x: 1.0 - s + s * fd(x) ** n_tx, x0)
+            return _min_eave_integral(rates, 1, 1.0, lambda x: (1.0 - s + s * fd(x)) ** n_tx, x0)
+        val = _min_eave_integral(rates, 1, 1.0, fd, x0)
         if bku:
             return (1.0 - s) + s * val**n_tx
         # an inactive transmitter carries ratio 1/(1 + SE), so its
@@ -388,22 +365,40 @@ def nzsr(scenario: Scenario, spec: SchemeSpec) -> float:
 def esr_closed_form(scenario: Scenario, spec: SchemeSpec) -> float:
     """Closed-form ergodic secrecy rate for MIN-ES and TTS.
 
-    Every term of 1 - F(x) integrates against 1/x into a difference of
-    fused e^a Ei(-a) factors.  OTS has no well-defined closed form here
-    (its published form needs the incomplete gamma at nonpositive order
-    and negative argument); use :func:`esr_quadrature` instead.
+    Each term of 1 - F(x) integrates against 1/x into weight c_i
+    (e(lam_i + b) - e(b)), e(a) = e^a Ei(-a), summed while the rounding
+    bound eps sum_i |weight c_i| (|e(lam_i + b)| + |e(b)|) is at most
+    1e-6 of the sum.  Past it, and for a MIN-ES table of more than 2,000
+    terms (not built), MIN-ES returns :func:`esr_quadrature`'s integral
+    and TTS raises :class:`QuadratureError`.  OTS has no well-defined
+    closed form here (its published form needs the incomplete gamma at
+    nonpositive order and negative argument); use :func:`esr_quadrature`.
     """
     if spec.scheme is Scheme.OTS:
-        raise UnsupportedClosedFormError(
-            "no closed-form ESR for OTS; use esr_quadrature"
-        )
-    terms = []
-    for weight, coeffs, lams, b in RatioCdfEvaluator(scenario, spec).parts():
+        raise UnsupportedClosedFormError("no closed-form ESR for OTS; use esr_quadrature")
+    ev = RatioCdfEvaluator(scenario, spec)
+    min_es = spec.scheme is Scheme.MIN_ES
+    if min_es and not ev._expand:
+        return esr_quadrature(scenario, spec)
+    terms, scale = [], []
+    for weight, coeffs, lams, b in ev.parts():
         # b is lambda_D for MIN-ES and the n (or q) multiple of it for TTS,
         # the same for every term of the part
         eb = exp_scaled_ei(b)
-        terms.extend((weight * c) * (exp_scaled_ei(lam + b) - eb) for c, lam in zip(coeffs, lams))
-    return max(math.fsum(terms) / LN2, 0.0)
+        for c, lam in zip(coeffs, lams):
+            elb = exp_scaled_ei(lam + b)
+            terms.append((weight * c) * (elb - eb))
+            scale.append(abs(weight * c) * (abs(elb) + abs(eb)))
+    esr = math.fsum(terms)
+    bound = sys.float_info.epsilon * math.fsum(scale)
+    if bound <= _ROUNDING_SHARE * abs(esr):
+        return esr / LN2
+    if min_es:
+        return esr_quadrature(scenario, spec)
+    raise QuadratureError(
+        f"closed-form ESR of {spec.label} is dominated by rounding: "
+        f"bound {bound / LN2:.3g} bits on {esr / LN2:.6g}"
+    )
 
 
 def _gk15(f, lo: np.ndarray, hi: np.ndarray) -> tuple:
@@ -453,14 +448,44 @@ def _adaptive_gk15(f, upper: float, epsabs: float, epsrel: float, limit: int) ->
     return total, total_err
 
 
-def esr_quadrature(
-    scenario: Scenario,
-    spec: SchemeSpec,
-    epsabs: float = 1e-9,
-) -> float:
-    """Ergodic secrecy rate by adaptive quadrature of 1 - F in log space.
+def _min_eave_integral(rates: tuple, n: int, a: float, phi, x0: float = 0.0) -> float:
+    """int_{x0}^inf phi(x) n f(x) sigma(x)^{n-1} dx, sigma = 1 - a + a sf(x).
 
-    With x = e^v the ESR is the integral of 1 - F(e^v) over v >= 0,
+    With one link's eavesdropper pdf f and sf (``rates``), unexpanded,
+    a n f sigma^{n-1} is the density of the least eavesdropping SNR of n
+    transmitters each present with probability a; the caller applies a.
+    phi maps an array of x to an array.  With x = x0 + E[SE] t/(1-t) it
+    runs over t in [0, 1] on the GK15 rule (1e-13 relative) and raises
+    :class:`QuadratureError` unless the value is finite and its error
+    estimate at most 1e-10 |value|.
+    """
+    lam_e, w = np.array(rates), np.array(hypoexp_weights(rates))
+    mean = float((1.0 / lam_e).sum())
+
+    def integrand(t):
+        x = x0 + mean * t / (1.0 - t)
+        e = np.exp(-x[:, None] * lam_e)
+        sigma = 1.0 - a + a * (e @ w)
+        return n * sigma ** (n - 1) * phi(x) * (e @ (w * lam_e)) * mean / (1.0 - t) ** 2
+
+    # at 1e-12 the GK15 estimate passed errors near 1e-11 where F is near 1
+    val, err = _adaptive_gk15(integrand, 1.0, 0.0, 1e-13, 1000)
+    if not math.isfinite(val) or err > 1e-10 * abs(val):
+        raise QuadratureError(
+            f"integral over the least eavesdropping SNR of {n} transmitters did not "
+            f"converge: value={val}, err={err}"
+        )
+    return val
+
+
+def esr_quadrature(scenario: Scenario, spec: SchemeSpec, epsabs: float = 1e-9) -> float:
+    """Ergodic secrecy rate by adaptive quadrature.
+
+    MIN-ES needs no term table at any N: for y >= 1, 1 - F(y) is s times
+    the mean of e^{-lambda_D (y (1+x) - 1)} over the selected eavesdropping
+    SNR x, so :func:`_min_eave_integral` (a = 1 for BKU, s for BKA; no
+    ``epsabs``) takes the kernel e^{lambda_D} E1(lambda_D (1+x)).  TTS and
+    OTS integrate 1 - F in log space: the integral of 1 - F(e^v) over v >= 0,
     divided by ln 2.  The selected destination SNR is at most the best
     of N exponential links, so 1 - F(x) <= N e^{-lambda_D (x-1)} and the
     range stops at V = ln(1 + (40 + ln N)/lambda_D), past which the
@@ -472,10 +497,21 @@ def esr_quadrature(
 
     Raises :class:`QuadratureError` when the closed form's worst-case
     rounding error over the range, eps sum_i |c_i| V / ln 2, exceeds
-    1e-6 (checked before integrating: the alternating MIN-ES tables of
-    large N and K), when the error estimate exceeds
-    max(1e-6, 1e-6 |value|), or when the value is not finite.
+    1e-6 (checked before integrating: the alternating TTS tables of
+    large N), when the error estimate exceeds max(1e-6, 1e-6 |value|),
+    or when the value is not finite.
     """
+    if spec.scheme is Scheme.MIN_ES:
+        lam_d, s = scenario.dest_rate, scenario.s
+
+        def kappa(x):
+            if lam_d < 600.0:
+                return math.exp(lam_d) * exp1(lam_d * (1.0 + x))
+            # e^{lambda_D} overflows; the fused e^z Ei(-z) does not
+            return -np.exp(-lam_d * x) * np.vectorize(exp_scaled_ei)(lam_d * (1.0 + x))
+
+        a = 1.0 if spec.knowledge is Knowledge.BKU else s
+        return s * _min_eave_integral(scenario.eave_rates, scenario.n_transmitters, a, kappa) / LN2
     ev = RatioCdfEvaluator(scenario, spec)
     upper = math.log1p((40.0 + math.log(scenario.n_transmitters)) / scenario.dest_rate)
     rounding = ev.survival_error_bound() * upper / LN2

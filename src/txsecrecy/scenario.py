@@ -12,18 +12,13 @@ selector knows which backhaul links are active.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .errors import ConditioningWarning, RateSeparationError
+from .errors import RateSeparationError
 
 #: Minimum admissible relative separation between eavesdropper rates.
 RATE_SEPARATION = 1e-6
-
-#: Beyond these sizes the alternating multinomial sums start to cancel badly.
-_COND_N = 15
-_COND_K = 6
 
 
 class Scheme(Enum):
@@ -150,13 +145,6 @@ class Scenario:
         if self.threshold_rate < 0.0:
             raise ValueError("threshold_rate must be nonnegative")
         check_rate_separation(self.eave_rates)
-        if self.n_transmitters > _COND_N or self.n_eavesdroppers > _COND_K:
-            warnings.warn(
-                f"N={self.n_transmitters}, K={self.n_eavesdroppers}: "
-                "alternating-sign multinomial sums may lose precision",
-                ConditioningWarning,
-                stacklevel=2,
-            )
 
     @property
     def s(self) -> float:

@@ -7,7 +7,7 @@ import txsecrecy as tx
 from txsecrecy import ALL_SPECS, Knowledge, Scheme, SchemeSpec, cli
 from txsecrecy.combinatorics import harmonic
 
-from conftest import make_scenario
+from conftest import make_scenario, mp_min_es_parts, mp_min_table, mp_min_table_e1
 
 LN2 = math.log(2.0)
 
@@ -90,6 +90,41 @@ def test_sop_high_snr_approx_tts_leading_order():
     sc80 = sc60.with_dest_snr_db(80.0)
     ratio = tx.sop_high_snr_approx(sc60, spec) / tx.sop_high_snr_approx(sc80, spec)
     assert ratio == pytest.approx((1e-6 / 1e-8) ** 3, rel=1e-12)
+
+
+def _eave_k(n, k, s, db):
+    return tx.scenario_from_db(n, k, s, db, tuple(6.0 + 2.0 * i for i in range(k)), threshold_rate=1.0)
+
+
+@pytest.mark.parametrize("kn", list(Knowledge), ids=lambda k: k.name)
+def test_sop_high_snr_approx_min_es_matches_mpmath(kn):
+    # the term sum of E[min SE] gave -0.516 here
+    mp = pytest.importorskip("mpmath")
+    sc = _eave_k(15, 6, 1.0, 60.0)
+    with mp.workdps(40):
+        mean_min = mp.fsum(c / lam for c, lam in mp_min_table(15, sc.eave_rates, mp))
+        want = float(mp.mpf(sc.dest_rate) * (sc.rho * mean_min + sc.rho - 1))
+    got = tx.sop_high_snr_approx(sc, SchemeSpec(Scheme.MIN_ES, kn))
+    assert abs(got - want) <= 1e-10 * want, (got, want)
+
+
+@pytest.mark.parametrize("k", (3, 6))
+def test_sop_high_snr_approx_tts_matches_moment_expansion(k):
+    # lambda_D^N sum_n C(N,n) rho^n (rho-1)^(N-n) n! sum_k w_k / lam_k^n at 50 digits
+    mp = pytest.importorskip("mpmath")
+    for n_tx in range(3, 21):
+        sc = _eave_k(n_tx, k, 1.0, 60.0)
+        with mp.workdps(50):
+            r = [mp.mpf(v) for v in sc.eave_rates]
+            w = [mp.fprod(r) / (rk * mp.fprod(rj - rk for rj in r if rj != rk)) for rk in r]
+            rho = mp.mpf(sc.rho)
+            want = float(mp.mpf(sc.dest_rate) ** n_tx * mp.fsum(
+                math.comb(n_tx, n) * rho**n * (rho - 1) ** (n_tx - n) * math.factorial(n)
+                * mp.fsum(wk / rk**n for wk, rk in zip(w, r))
+                for n in range(n_tx + 1)
+            ))
+        got = tx.sop_high_snr_approx(sc, SchemeSpec(Scheme.TTS, Knowledge.BKU))
+        assert abs(got - want) <= 1e-10 * want, (n_tx, got, want)
 
 
 def test_sop_high_snr_approx_rejects_unreliable_backhaul():
@@ -195,7 +230,6 @@ def _mp_ots_offset(n, rates, a, mp):
         return mp.euler + val / head
 
 
-@pytest.mark.filterwarnings("ignore::txsecrecy.ConditioningWarning")
 @pytest.mark.parametrize("n", (2, 5, 12, 20, 40))
 @pytest.mark.parametrize("k", (1, 3, 6))
 def test_ots_offset_matches_mpmath(n, k):
@@ -209,7 +243,6 @@ def test_ots_offset_matches_mpmath(n, k):
         assert abs(off - float(want)) <= 1e-12 * abs(float(want)), (s, kn, off, float(want))
 
 
-@pytest.mark.filterwarnings("ignore::txsecrecy.ConditioningWarning")
 @pytest.mark.parametrize("kn", list(Knowledge), ids=lambda k: k.name)
 @pytest.mark.parametrize("n, k", [(12, 6), (20, 3)])
 def test_ots_offset_matches_quadrature_at_80db(n, k, kn):
@@ -297,3 +330,41 @@ def test_esr_high_snr_ots_rejects_other_schemes():
     sc = make_scenario()
     with pytest.raises(tx.UnsupportedClosedFormError):
         tx.esr_high_snr_ots(sc, SchemeSpec(Scheme.TTS, Knowledge.BKU))
+
+
+@pytest.mark.parametrize("kn", list(Knowledge), ids=lambda k: k.name)
+@pytest.mark.parametrize(
+    "n, k",
+    [
+        (12, 6),  # BKU: the term sum gave 6.906 for 4.21931
+        (15, 6),  # BKU: the term sum gave -357,746 for 4.158
+        (21, 1),  # refused as N > 20 before any table was built
+    ],
+)
+def test_min_es_offset_matches_mpmath_term_table(n, k, kn):
+    # gamma + sum_i w_i e^{lam_i} E1(lam_i) / norm over the 50-digit tables
+    mp = pytest.importorskip("mpmath")
+    sc = _eave_k(n, k, 0.9, 30.0)
+    parts = mp_min_es_parts(sc, kn, mp)
+    with mp.workdps(40):
+        want = float(mp.euler + mp.fsum(
+            w * mp_min_table_e1(m, sc.eave_rates, 0.0, mp) for w, m in parts
+        ) / mp.fsum(w for w, _ in parts))
+    got = tx.esr_asymptote(sc, SchemeSpec(Scheme.MIN_ES, kn)).offset
+    assert abs(got - want) <= 1e-10 * want, (got, want)
+
+
+def test_min_es_offset_is_computed_once_per_table(monkeypatch):
+    # like the OTS offset, the MIN-ES one depends on neither lambda_D nor, for BKU, s
+    calls = []
+    real = tx.asymptotics._min_eave_integral
+    monkeypatch.setattr(
+        tx.asymptotics, "_min_eave_integral", lambda *args: calls.append(args) or real(*args)
+    )
+    tx.asymptotics._min_es_offset.cache_clear()
+    for s in (0.5, 0.9):
+        for db in (0.0, 30.0, 60.0):
+            sc = make_scenario(n=5, k=3, s=s, dest_db=db)
+            for kn in Knowledge:
+                tx.esr_asymptote(sc, SchemeSpec(Scheme.MIN_ES, kn))
+    assert len(calls) == 3  # a = 1, 0.5 and 0.9

@@ -84,30 +84,31 @@ def test_sweep_output_is_byte_stable(scen_file, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_sweep_min_es_beyond_expansion_order_is_a_numeric_failure(tmp_path, capsys):
-    # N=21 exceeds the MIN-ES expansion; the other schemes still evaluate
-    scen = tmp_path / "n21.ini"
+def test_sweep_min_es_evaluates_beyond_twenty_transmitters(tmp_path, capsys):
+    # MIN-ES integrates over the selected eavesdropper wherever its
+    # multinomial table is large, so every N has every cell
+    scen = tmp_path / "min_es.ini"
     scen.write_text(
-        "[scenario]\nn_transmitters = 21\nn_eavesdroppers = 1\n"
-        "backhaul_reliability = 0.9\ndest_snr_db = 20\neave_snr_db = 13\n"
-        "threshold_rate = 1.0\n\n[sweep]\nvariable = dest_snr_db\n"
-        "start = 10\nstop = 20\nstep = 10\noutputs = sop, nzsr\n"
+        "[scenario]\nn_transmitters = 21\nn_eavesdroppers = 3\n"
+        "backhaul_reliability = 0.9\ndest_snr_db = 20\neave_snr_db = 6, 9, 13\n"
+        "threshold_rate = 1.0\n\n[sweep]\nvariable = n_transmitters\n"
+        "start = 21\nstop = 40\nstep = 1\nschemes = MIN_ES\n"
+        "outputs = sop, nzsr, esr, asymptote\n"
     )
-    out = tmp_path / "n21.csv"
-    rc = cli.main(["sweep", "--scenario", str(scen), "--out", str(out)])
-    assert rc == cli.EXIT_NUMERIC
+    out = tmp_path / "min_es.csv"
+    assert cli.main(["sweep", "--scenario", str(scen), "--out", str(out)]) == cli.EXIT_OK
+    assert capsys.readouterr().err == ""
     with open(out, newline="") as fh:
         rows = list(csv.DictReader(fh))
-    assert len(rows) == 2 * 6 * 2
+    assert [float(r["x"]) for r in rows] == [float(n) for n in range(21, 41) for _ in range(6)]
     for row in rows:
-        if row["scheme"] == "MIN_ES":
-            assert row["exact"] == ""
+        exact, asym = float(row["exact"]), float(row["asymptote"])
+        if row["metric"] == "esr":
+            assert exact > 0.0 and asym > 0.0
         else:
-            assert 0.0 <= float(row["exact"]) <= 1.0
-    assert "MIN-ES expansion" in capsys.readouterr().err
+            assert 0.0 < exact < 1.0 and 0.0 < asym <= 1.0
 
 
-@pytest.mark.filterwarnings("ignore::txsecrecy.ConditioningWarning")
 def test_sweep_ots_esr_asymptote_beyond_twenty_transmitters(tmp_path):
     # the OTS line needs no multinomial table, so every N has its cell
     scen = tmp_path / "ots.ini"

@@ -1,4 +1,3 @@
-import functools
 import math
 from dataclasses import replace
 
@@ -9,11 +8,11 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import txsecrecy as tx
-from txsecrecy import ALL_SPECS, Knowledge, Scheme, SchemeSpec, channel
+from txsecrecy import ALL_SPECS, Knowledge, Scheme, SchemeSpec, channel, cli
 from txsecrecy.metrics import LN2, RatioCdfEvaluator
 from txsecrecy.specfun import exp_scaled_ei
 
-from conftest import make_scenario
+from conftest import make_scenario, mp_min_es_parts, mp_min_table, mp_min_table_e1
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label)
@@ -292,12 +291,13 @@ def test_survival_chunks_give_the_unchunked_values(monkeypatch):
 
 
 def test_esr_quadrature_refuses_rounding_dominated_table(monkeypatch):
-    # MIN-ES at N = 12, K = 6: sum |c_i| is so large that the integrand is
-    # rounding noise; the call must raise up front, not return 0.0
-    sc = make_scenario(n=12, k=6, s=0.5, dest_db=20.0)
+    # TTS at N = 40: the binomial weights C(40, n) make sum |c_i| so large
+    # that the integrand is rounding noise; the call must raise up front
+    sc = make_scenario(n=40, k=3, s=0.9, dest_db=30.0)
     monkeypatch.setattr(RatioCdfEvaluator, "survival", lambda self, xs: pytest.fail("integrated"))
-    with pytest.raises(tx.QuadratureError, match="rounding"):
-        tx.esr_quadrature(sc, SchemeSpec(Scheme.MIN_ES, Knowledge.BKU))
+    for kn in Knowledge:
+        with pytest.raises(tx.QuadratureError, match="rounding"):
+            tx.esr_quadrature(sc, SchemeSpec(Scheme.TTS, kn))
 
 
 def test_gk15_rule_is_exact_on_polynomials():
@@ -446,6 +446,10 @@ def test_streamed_parts_match_concatenated_table_exactly(scheme, kn):
                 c * _term_integral(lam, b, y) for c, lam, b in zip(coeffs, lams, bs)
             )
         assert ev._closed_form(y) == want
+    if scheme is Scheme.MIN_ES:
+        # above 2,000 terms the MIN-ES ESR is the integral, not the table sum
+        assert tx.esr_closed_form(sc, spec) == tx.esr_quadrature(sc, spec)
+        return
     esr = math.fsum(
         c * (exp_scaled_ei(lam + b) - exp_scaled_ei(b)) for c, lam, b in zip(coeffs, lams, bs)
     )
@@ -481,12 +485,14 @@ def test_ots_closed_form_keeps_single_link_bits(kn, n, k):
 @pytest.mark.parametrize("kn", list(Knowledge), ids=lambda k: k.name)
 def test_esr_closed_form_evaluates_shared_factor_once_per_part(scheme, kn, monkeypatch):
     # e^b Ei(-b) is the same for every term of a part; taking it once per
-    # part must give the bits of the per-term sum
+    # part must give the bits of the per-term sum.  MIN-ES sums no table
+    # of N = 12, K = 6 (above 2,000 terms), so it is checked at N = 8, K = 3.
     spec = SchemeSpec(scheme, kn)
+    n, k = (8, 3) if scheme is Scheme.MIN_ES else (12, 6)
     calls = []
     monkeypatch.setattr(tx.metrics, "exp_scaled_ei", lambda x: calls.append(x) or exp_scaled_ei(x))
     for s, db in ((0.3, 10.0), (0.9, 40.0)):
-        sc = make_scenario(n=12, k=6, s=s, dest_db=db)
+        sc = make_scenario(n=n, k=k, s=s, dest_db=db)
         ev = RatioCdfEvaluator(sc, spec)
         terms = _flat_terms(ev)
         per_term = math.fsum(
@@ -497,49 +503,6 @@ def test_esr_closed_form_evaluates_shared_factor_once_per_part(scheme, kn, monke
         assert len(calls) == len(ev.parts()) + len(terms)
 
 
-@pytest.mark.parametrize("kn", list(Knowledge), ids=lambda k: k.name)
-def test_min_es_beyond_expansion_order_raises_domain_error(kn):
-    n_tx = channel.MULTINOMIAL_MAX_N + 1
-    sc = tx.scenario_from_db(n_tx, 1, 0.9, 20.0, (13.0,), threshold_rate=1.0)
-    channel._min_hypoexp_table.cache_clear()
-    with pytest.raises(tx.DomainError):
-        RatioCdfEvaluator(sc, SchemeSpec(Scheme.MIN_ES, kn))
-    with pytest.raises(tx.DomainError):
-        tx.esr_closed_form(sc, SchemeSpec(Scheme.MIN_ES, kn))
-    # refused before any table is expanded
-    assert channel._min_hypoexp_table.cache_info().misses == 0
-    for scheme in (Scheme.TTS, Scheme.OTS):
-        assert 0.0 <= tx.sop(sc, SchemeSpec(scheme, kn)) <= 1.0
-
-
-@functools.lru_cache(maxsize=None)
-def _mp_min_table(n, rates, mp):
-    """(c_i, lam_i) of the min of n hypoexponential draws, built in ``mp`` at 50 digits.
-
-    c_i = n! prod_k w_k^i_k / i_k! over the compositions i of n, with
-    the weights w_k formed in mp from the double rates.
-    """
-    with mp.workdps(50):
-        r = [mp.mpf(v) for v in rates]
-        w = []
-        for k, rk in enumerate(r):
-            denom = rk
-            for j, rj in enumerate(r):
-                if j != k:
-                    denom *= rj - rk
-            w.append(mp.fprod(r) / denom)
-        rows = [(mp.mpf(math.factorial(n)), mp.mpf(0), n)]
-        for k in range(len(r)):
-            pw = [w[k] ** i / math.factorial(i) for i in range(n + 1)]
-            rows = [
-                (c * pw[i], lam + i * r[k], left - i)
-                for c, lam, left in rows
-                # the last part takes what is left
-                for i in (range(left + 1) if k < len(r) - 1 else (left,))
-            ]
-        return tuple((c, lam) for c, lam, _ in rows)
-
-
 def _mp_min_es_cdf(sc, kn, y, mp):
     """F(y >= 1) of MIN-ES summed over the 50-digit tables; x0 is 0 there."""
     n_tx, s, b, y = sc.n_transmitters, mp.mpf(sc.s), mp.mpf(sc.dest_rate), mp.mpf(y)
@@ -547,7 +510,7 @@ def _mp_min_es_cdf(sc, kn, y, mp):
 
     def table_sum(n):
         return mp.fsum(
-            c * (1 - lam * tail / (b * y + lam)) for c, lam in _mp_min_table(n, sc.eave_rates, mp)
+            c * (1 - lam * tail / (b * y + lam)) for c, lam in mp_min_table(n, sc.eave_rates, mp)
         )
 
     if kn is Knowledge.BKU:
@@ -557,7 +520,7 @@ def _mp_min_es_cdf(sc, kn, y, mp):
         for n in range(1, n_tx + 1)
     )
 
-@pytest.mark.filterwarnings("ignore::txsecrecy.ConditioningWarning")
+
 @pytest.mark.parametrize(
     "n, k, s, db, kn",
     [
@@ -565,6 +528,8 @@ def _mp_min_es_cdf(sc, kn, y, mp):
         (12, 6, 0.9, 10.0, Knowledge.BKA),  # SOP 0.996768; the closed form gives 0.193
         (12, 6, 1.0, 60.0, Knowledge.BKU),  # SOP 7.9386e-5; the closed form gives 0.551
         (8, 3, 1.0, 50.0, Knowledge.BKU),  # 45 terms, routed by the rounding bound
+        (21, 1, 0.9, 20.0, Knowledge.BKA),  # refused as N > 20 before any table was built
+        (40, 3, 0.9, 20.0, Knowledge.BKU),  # 861 terms
     ],
 )
 def test_routed_min_es_values_match_mpmath_term_table(n, k, s, db, kn):
@@ -612,3 +577,61 @@ def test_rounding_bound_guards_one_minus_f(kn):
         want = 1 - _mp_min_es_cdf(sc, kn, 1.0, mp)
     got = tx.nzsr(sc, SchemeSpec(Scheme.MIN_ES, kn))
     assert abs(got - float(want)) <= 1e-6 * float(want), (got, float(want))
+
+
+def _mp_min_es_esr(sc, kn, mp):
+    """MIN-ES ESR in bits from the 50-digit tables, as esr_closed_form sums it.
+
+    Every term is weight c_i (g(b) - g(lam_i + b)), g(a) = e^a E1(a),
+    b = lambda_D.
+    """
+    with mp.workdps(40):
+        b = mp.mpf(sc.dest_rate)
+        gb = mp.exp(b) * mp.e1(b)
+        return mp.fsum(
+            w * (gb * mp.fsum(c for c, _ in mp_min_table(n, sc.eave_rates, mp))
+                 - mp_min_table_e1(n, sc.eave_rates, sc.dest_rate, mp))
+            for w, n in mp_min_es_parts(sc, kn, mp)
+        ) / mp.log(2)
+
+
+@pytest.mark.parametrize("kn", list(Knowledge), ids=lambda k: k.name)
+@pytest.mark.parametrize(
+    "n, k, db",
+    [
+        (10, 3, 30.0),  # BKU: the term sum gave 5.7676830 for 5.7676856
+        (15, 6, 30.0),  # BKU: the term sum gave 0.0 for 3.62226
+        (21, 1, 20.0),  # refused as N > 20 before any table was built
+        (5, 3, -15.0),  # BKU: the term sum is 7.6e-6 off, past a bound of eps sum |t_i|
+        (5, 1, -30.0),  # e^{lambda_D} overflows in the integral's kernel
+    ],
+)
+def test_min_es_esr_matches_mpmath_term_table(n, k, db, kn):
+    # the closed form routes to the integral past its rounding bound
+    mp = pytest.importorskip("mpmath")
+    sc = tx.scenario_from_db(n, k, 0.9, db, tuple(6.0 + 2.0 * i for i in range(k)))
+    spec = SchemeSpec(Scheme.MIN_ES, kn)
+    want = float(_mp_min_es_esr(sc, kn, mp))
+    for got in (tx.esr_closed_form(sc, spec), tx.esr_quadrature(sc, spec)):
+        assert abs(got - want) <= 1e-10 * want, (got, want)
+
+
+@pytest.mark.parametrize("variant", ("s0.20", "s0.90"))
+def test_min_es_esr_routes_agree_on_fig5_cells(variant):
+    # fig5 (N = 5, K = 3) keeps the term sum; the integral agrees with it
+    kwargs = dict(cli.PRESETS["fig5"][1])[variant]
+    for db in range(0, 61, 2):
+        sc = tx.scenario_from_db(dest_snr_db=float(db), **kwargs)
+        for kn in Knowledge:
+            spec = SchemeSpec(Scheme.MIN_ES, kn)
+            cf, q = tx.esr_closed_form(sc, spec), tx.esr_quadrature(sc, spec)
+            assert abs(cf - q) <= 1e-10 * q, (db, kn, cf, q)
+
+
+def test_tts_esr_closed_form_refuses_rounding_dominated_sum():
+    # TTS at N = 40: its binomial weights leave the term sum with about
+    # three digits, and TTS has no integral route to fall back on
+    sc = make_scenario(n=40, k=3, s=0.9, dest_db=30.0)
+    for kn in Knowledge:
+        with pytest.raises(tx.QuadratureError, match="rounding"):
+            tx.esr_closed_form(sc, SchemeSpec(Scheme.TTS, kn))

@@ -62,7 +62,7 @@ def test_benchmark_bound_name_exists(module, attr, params):
 
 def test_library_does_not_import_scipy_integrate():
     # every integral in the library runs on the one GK15 rule in metrics;
-    # a fresh interpreter, as pytest's warning filter imports scipy.integrate
+    # a fresh interpreter, as the test modules import scipy.integrate
     src = str(Path(tx.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join((src, os.environ.get("PYTHONPATH", "")))}
     code = "import sys, txsecrecy, txsecrecy.cli; print('scipy.integrate' in sys.modules)"
