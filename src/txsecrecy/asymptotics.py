@@ -16,12 +16,15 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidRegimeError, QuadratureError, UnsupportedClosedFormError
-from .metrics import LN2, RatioCdfEvaluator, _adaptive_gk15, _min_eave_integral, sop
+from .metrics import (
+    _ROUNDING_SHARE, LN2, RatioCdfEvaluator, _adaptive_gk15, _min_eave_integral, sop,
+)
 from .scenario import Knowledge, Scenario, Scheme, SchemeSpec
 from .specfun import exp_scaled_ei
 
@@ -145,7 +148,9 @@ def esr_asymptote(scenario: Scenario, spec: SchemeSpec) -> EsrAsymptote:
     gamma + sum_i w_i k_i / norm.  For TTS the (w_i, k_i) are one pair
     per term of :meth:`RatioCdfEvaluator.parts`, w_i = c_i and
     k_i = ln(b_i/lambda_D) - e^{lam_i} Ei(-lam_i), from integrating the
-    term's 1 - F against dx/x.  For MIN-ES the sum is E[ln(1 + X)] over
+    term's 1 - F against dx/x; the sum raises :class:`QuadratureError`
+    when its rounding bound eps sum_i |w_i k_i| exceeds 1e-6 of it, as
+    at large N.  For MIN-ES the sum is E[ln(1 + X)] over
     the selected eavesdropping SNR X (:func:`_min_es_offset`), and for
     OTS it is one per order n of the selection power form, summed by the
     single integral of :func:`_ots_offset`; both are valid at any N.
@@ -159,12 +164,19 @@ def esr_asymptote(scenario: Scenario, spec: SchemeSpec) -> EsrAsymptote:
     if spec.scheme is Scheme.OTS:
         ((_, w, lams, _),) = RatioCdfEvaluator(sc, spec).parts()
         return EsrAsymptote(norm / LN2, _EULER + _ots_offset(n_tx, w, lams, a))
-    terms = (
+    terms = [
         (weight * c) * (math.log(b / sc.dest_rate) - exp_scaled_ei(lam))
         for weight, coeffs, lams, b in RatioCdfEvaluator(sc, spec).parts()
         for c, lam in zip(coeffs, lams)
-    )
-    return EsrAsymptote(norm / LN2, _EULER + math.fsum(terms) / norm)
+    ]
+    total = math.fsum(terms)
+    bound = sys.float_info.epsilon * math.fsum(abs(t) for t in terms)
+    if bound > _ROUNDING_SHARE * abs(total):
+        raise QuadratureError(
+            f"ESR line offset of {spec.label} is dominated by rounding: "
+            f"bound {bound:.3g} on {total:.6g}"
+        )
+    return EsrAsymptote(norm / LN2, _EULER + total / norm)
 
 
 @functools.lru_cache(maxsize=64)

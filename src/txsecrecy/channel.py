@@ -154,8 +154,9 @@ def bka_weight(n_tx: int, n: int, s: float) -> float:
 
 
 #: Term tables kept by :func:`min_hypoexp_terms`: three full BKA sets (one
-#: table per n = 1..N) of the at most 2,000 terms the metrics expand (N = 20
-#: at K = 3), a few hundred kB, for a sweep over a few eavesdropper sets.
+#: table per n = 1..N) at N = 20, for a sweep over a few eavesdropper sets.
+#: The metrics expand no table above 300 terms, so the cache holds at most
+#: 18,000 terms, about 1 MB.
 TERM_TABLE_CACHE_SIZE = 60
 
 

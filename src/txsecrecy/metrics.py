@@ -11,16 +11,18 @@ or by adaptive quadrature (all schemes, authoritative for OTS).
 Every integral in the library runs on one vectorized adaptive
 Gauss-Kronrod 7/15 rule; its callers raise :class:`QuadratureError`
 rather than return an unconverged value.  A MIN-ES term table is summed
-only while it has at most 2,000 terms (above that none is built) and its
+only while it has at most 300 terms (above that none is built) and its
 rounding bound is at most 1e-6 of the value (of min(F, 1 - F) for SOP and
 NZSR); elsewhere the value is one integral of a kernel against the
 density of the selected eavesdropping SNR, :func:`_min_eave_integral`,
-at any N.  Every scheme also integrates F where its closed form is below
-1e-8.  For TTS and OTS the ESR quadrature integrates the closed form's
-tail sum 1 - F, evaluated on numpy arrays of nodes, in log space up to
-V = ln(1 + (40 + ln N)/lambda_D), where 1 - F <= N e^{-lambda_D (x-1)}
-is below e^-40, and refuses (:class:`QuadratureError`) a term table
-whose worst-case rounding error over that range exceeds 1e-6 bits.
+at any N.  TTS SOP and NZSR integrate past the same bound on
+min(F, 1 - F), and every scheme integrates F where its closed form is
+below 1e-8.  For TTS and OTS the ESR quadrature integrates the closed
+form's tail sum 1 - F, evaluated on numpy arrays of nodes, in log space
+up to V = ln(1 + (40 + ln N)/lambda_D), where
+1 - F <= N e^{-lambda_D (x-1)} is below e^-40, and refuses
+(:class:`QuadratureError`) a term table whose worst-case rounding error
+over that range exceeds 1e-6 bits.
 """
 
 from __future__ import annotations
@@ -47,20 +49,30 @@ LN2 = math.log(2.0)
 _CANCELLATION_FLOOR = 1e-8
 
 #: MIN-ES SOP, NZSR and ESR integrate rather than expand a term table of
-#: more terms than this; there the integral is the faster route (about
-#: 0.5 ms a value against 0.7 ms for the 3,002 terms of MIN-ES-BKA at
-#: N = 8, K = 6, and 6 ms at N = 12).
-_MAX_TABLE_TERMS = 2000
+#: more terms than this, about where the integral becomes the faster
+#: route: at y = 2 and 30 dB an SOP value from a cached table of 252
+#: terms (BKU, N = 5, K = 6) took 0.07 ms against 0.09 ms for the
+#: integral, from 462 terms 0.12 ms against 0.09 ms, and from 1,287 terms
+#: 0.57 ms against 0.10 ms; at 0 and 60 dB the routes also cross between
+#: 286 and 330 terms.
+_MAX_TABLE_TERMS = 300
 
 #: A closed form is taken only while its rounding bound eps sum_i |t_i|
 #: over its terms t_i is at most this share of the value: min(F, 1 - F)
-#: for MIN-ES SOP and NZSR, the ESR for MIN-ES and TTS (Higham, Accuracy
-#: and Stability of Numerical Algorithms, 2nd ed., ch. 4).
+#: for MIN-ES and TTS SOP and NZSR, the ESR for MIN-ES and TTS, and the
+#: TTS line offset (Higham, Accuracy and Stability of Numerical
+#: Algorithms, 2nd ed., ch. 4).
 _ROUNDING_SHARE = 1e-6
 
 #: Upper bound on the points x terms products :meth:`RatioCdfEvaluator.survival`
 #: forms at once; a TTS-BKA table at N = 40, K = 6 has 4,920 terms.
 _CHUNK_ELEMENTS = 1 << 16
+
+#: Equal pieces of [0, upper] that :func:`_adaptive_gk15` starts from.  A
+#: bisection step's cost is mostly per-call numpy overhead, not nodes, so
+#: a start as fine as most integrals need saves the five or six steps a
+#: single interval takes to reach it (16 and 64 pieces timed no better).
+_GK15_START_PIECES = 32
 
 #: QUADPACK's Gauss-Kronrod 7/15 rule on [-1, 1]: the 15 Kronrod nodes in
 #: increasing order with their weights; the 7 Gauss nodes are the odd
@@ -153,9 +165,12 @@ class RatioCdfEvaluator:
 
     @cached_property
     def _table(self) -> tuple:
-        """(parts, rounding bound): the term table and eps sum_i |weight c_i| (MIN-ES).
+        """(parts, rounding bound) of the term table.
 
-        The bound is 0 for TTS and OTS, whose routes do not read it.
+        The bound on the closed form's rounding is eps sum_i |weight c_i|
+        for MIN-ES and eps (sum_k |w_k| + sum_i |weight c_i|) for TTS,
+        whose head sum_k w_k e^{-lam_k x0} is alternating too; it is 0
+        for OTS, whose route does not read it.
         """
         sc, spec = self.scenario, self.spec
         n_tx, s, lam_d, lam_e = sc.n_transmitters, sc.s, sc.dest_rate, sc.eave_rates
@@ -183,6 +198,9 @@ class RatioCdfEvaluator:
                 (s * math.comb(n_tx, n) * (-1.0) ** (n + 1), self._hypo_w, lam_e, n * lam_d)
                 for n in range(1, n_tx + 1)
             )
+            # the head and every part read the same weights, and the
+            # parts' |weight| sum to s (2^N - 1)
+            abs_sum = sum(map(abs, self._hypo_w)) * (1.0 + s * (2.0**n_tx - 1.0))
         else:
             parts = tuple(
                 (bka_weight(n_tx, n, s) * math.comb(n, q) * (-1.0) ** (q + 1),
@@ -190,6 +208,8 @@ class RatioCdfEvaluator:
                 for n in range(1, n_tx + 1)
                 for q in range(1, n + 1)
             )
+            # as for BKU; here the parts' |weight| sum to (1 + s)^N - 1
+            abs_sum = sum(map(abs, self._hypo_w)) * (1.0 + s) ** n_tx
         return parts, sys.float_info.epsilon * abs_sum
 
     @cached_property
@@ -318,21 +338,21 @@ class RatioCdfEvaluator:
         Every scheme integrates (:meth:`_definitional`) where the closed
         form is below 1e-8, the deep left tail where its alternating sums
         cancel.  MIN-ES also integrates when its term table has more than
-        2,000 terms, without building the table, and when the table's
-        rounding bound eps sum_i |weight c_i| exceeds
+        300 terms, without building the table, and MIN-ES and TTS when
+        the table's rounding bound (see :attr:`_table`) exceeds
         1e-6 min(F, 1 - F), so that both F and 1 - F keep six digits.
         The integral raises :class:`QuadratureError` rather than return
         an unconverged value.
         """
         if y <= 0.0:
             return 0.0
-        min_es = self.spec.scheme is Scheme.MIN_ES
-        if min_es and not self._expand:
+        if self.spec.scheme is Scheme.MIN_ES and not self._expand:
             val = self._definitional(y)
         else:
             val = self._closed_form(y)
             if val < _CANCELLATION_FLOOR or (
-                min_es and self._table[1] > _ROUNDING_SHARE * min(val, 1.0 - val)
+                self.spec.scheme is not Scheme.OTS
+                and self._table[1] > _ROUNDING_SHARE * min(val, 1.0 - val)
             ):
                 val = self._definitional(y)
         return min(max(val, 0.0), 1.0)
@@ -348,7 +368,7 @@ def sop(scenario: Scenario, spec: SchemeSpec) -> float:
 
     From the closed form or the definitional integral, routed as in
     :meth:`RatioCdfEvaluator.__call__`; MIN-ES builds no term table of
-    more than 2,000 terms here.
+    more than 300 terms here.
     """
     return RatioCdfEvaluator(scenario, spec)(scenario.rho)
 
@@ -356,7 +376,7 @@ def sop(scenario: Scenario, spec: SchemeSpec) -> float:
 def nzsr(scenario: Scenario, spec: SchemeSpec) -> float:
     """Probability of a strictly positive secrecy rate, 1 - F(1).
 
-    Routed as :func:`sop`; the MIN-ES rounding bound is held against
+    Routed as :func:`sop`; the MIN-ES and TTS rounding bound is held against
     min(F, 1 - F), so a closed-form 1 - F also keeps six digits.
     """
     return 1.0 - RatioCdfEvaluator(scenario, spec)(1.0)
@@ -368,7 +388,7 @@ def esr_closed_form(scenario: Scenario, spec: SchemeSpec) -> float:
     Each term of 1 - F(x) integrates against 1/x into weight c_i
     (e(lam_i + b) - e(b)), e(a) = e^a Ei(-a), summed while the rounding
     bound eps sum_i |weight c_i| (|e(lam_i + b)| + |e(b)|) is at most
-    1e-6 of the sum.  Past it, and for a MIN-ES table of more than 2,000
+    1e-6 of the sum.  Past it, and for a MIN-ES table of more than 300
     terms (not built), MIN-ES returns :func:`esr_quadrature`'s integral
     and TTS raises :class:`QuadratureError`.  OTS has no well-defined
     closed form here (its published form needs the incomplete gamma at
@@ -422,13 +442,15 @@ def _gk15(f, lo: np.ndarray, hi: np.ndarray) -> tuple:
 def _adaptive_gk15(f, upper: float, epsabs: float, epsrel: float, limit: int) -> tuple:
     """Globally adaptive GK15 integral of f over [0, upper]: (value, error estimate).
 
-    Each step bisects every interval whose error exceeds its length's
-    share of the tolerance (and always the worst one) and evaluates all
-    the new intervals in one call, until the summed error meets
-    max(epsabs, epsrel |value|) or another step would pass ``limit``
-    intervals.
+    Starts from :data:`_GK15_START_PIECES` equal intervals, evaluated in
+    one call.  Each step bisects every interval whose error exceeds its
+    length's share of the tolerance (and always the worst one) and
+    evaluates all the new intervals in one call, until the summed error
+    meets max(epsabs, epsrel |value|) or another step would pass
+    ``limit`` intervals.
     """
-    lo, hi = np.array([0.0]), np.array([upper])
+    edges = np.linspace(0.0, upper, _GK15_START_PIECES + 1)
+    lo, hi = edges[:-1], edges[1:]
     val, err = _gk15(f, lo, hi)
     while True:
         total, total_err = float(val.sum()), float(err.sum())

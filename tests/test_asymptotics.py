@@ -6,6 +6,8 @@ import pytest
 import txsecrecy as tx
 from txsecrecy import ALL_SPECS, Knowledge, Scheme, SchemeSpec, cli
 from txsecrecy.combinatorics import harmonic
+from txsecrecy.metrics import RatioCdfEvaluator
+from txsecrecy.specfun import exp_scaled_ei
 
 from conftest import make_scenario, mp_min_es_parts, mp_min_table, mp_min_table_e1
 
@@ -182,6 +184,24 @@ def test_esr_finite_difference_slope():
             assert slope == pytest.approx(
                 tx.esr_asymptote(sc55, spec).slope, rel=0.02
             )
+
+
+@pytest.mark.parametrize("kn", list(Knowledge), ids=lambda k: k.name)
+def test_tts_offset_refuses_rounding_dominated_sum(kn):
+    # the binomial weights of the TTS table cancel at large N: unguarded,
+    # the TTS-BKU offset at N = 60 (K = 3, s = 1) was -845.88 for 1.7745
+    spec = SchemeSpec(Scheme.TTS, kn)
+    with pytest.raises(tx.QuadratureError, match="rounding"):
+        tx.esr_asymptote(make_scenario(n=60, k=3, s=1.0, dest_db=30.0), spec)
+    # at N = 10 the guard passes and the sum keeps its bits
+    sc = make_scenario(n=10, k=3, s=1.0, dest_db=30.0)
+    terms = (
+        (weight * c) * (math.log(b / sc.dest_rate) - exp_scaled_ei(lam))
+        for weight, coeffs, lams, b in RatioCdfEvaluator(sc, spec).parts()
+        for c, lam in zip(coeffs, lams)
+    )
+    want = tx.asymptotics._EULER + math.fsum(terms)  # norm is 1 at s = 1
+    assert tx.esr_asymptote(sc, spec).offset.hex() == want.hex()
 
 
 def test_esr_asymptote_offset_db_conversion():

@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -447,7 +448,7 @@ def test_streamed_parts_match_concatenated_table_exactly(scheme, kn):
             )
         assert ev._closed_form(y) == want
     if scheme is Scheme.MIN_ES:
-        # above 2,000 terms the MIN-ES ESR is the integral, not the table sum
+        # above the table-size cutoff the MIN-ES ESR is the integral, not the table sum
         assert tx.esr_closed_form(sc, spec) == tx.esr_quadrature(sc, spec)
         return
     esr = math.fsum(
@@ -486,7 +487,8 @@ def test_ots_closed_form_keeps_single_link_bits(kn, n, k):
 def test_esr_closed_form_evaluates_shared_factor_once_per_part(scheme, kn, monkeypatch):
     # e^b Ei(-b) is the same for every term of a part; taking it once per
     # part must give the bits of the per-term sum.  MIN-ES sums no table
-    # of N = 12, K = 6 (above 2,000 terms), so it is checked at N = 8, K = 3.
+    # of N = 12, K = 6 (above the table-size cutoff), so it is checked at
+    # N = 8, K = 3.
     spec = SchemeSpec(scheme, kn)
     n, k = (8, 3) if scheme is Scheme.MIN_ES else (12, 6)
     calls = []
@@ -563,6 +565,67 @@ def test_min_es_table_size_gate(kn):
     parts = RatioCdfEvaluator(sc, spec).parts()
     assert sum(len(coeffs) for _, coeffs, _, _ in parts) == tx.metrics._min_es_table_terms(12, 6, kn)
     assert len(parts) == (1 if kn is Knowledge.BKU else 12)
+
+
+@pytest.mark.parametrize("kn", list(Knowledge), ids=lambda k: k.name)
+def test_min_es_table_size_cutoff(kn):
+    # the largest K = 3 table within the cutoff is built; one transmitter
+    # more and SOP integrates without building one
+    spec = SchemeSpec(Scheme.MIN_ES, kn)
+    limit = tx.metrics._MAX_TABLE_TERMS
+    n_tx = max(n for n in range(1, 100) if tx.metrics._min_es_table_terms(n, 3, kn) <= limit)
+    for n, built in ((n_tx, True), (n_tx + 1, False)):
+        sc = make_scenario(n=n, k=3, s=0.7, dest_db=30.0)
+        channel._min_hypoexp_table.cache_clear()
+        got = tx.sop(sc, spec)
+        assert (channel._min_hypoexp_table.cache_info().misses > 0) is built
+        # a built table may still route by its rounding bound (BKU, N = 23)
+        assert got == pytest.approx(
+            RatioCdfEvaluator(sc, spec)._definitional(sc.rho), rel=1e-9, abs=0.0
+        )
+
+
+@pytest.mark.parametrize("kn", list(Knowledge), ids=lambda k: k.name)
+def test_point_grid_min_es_integral_converges_in_two_steps(kn, monkeypatch):
+    # the largest point_grid MIN-ES tables (N = 12, K = 6) integrate; from
+    # the 32-piece start each SOP takes at most one bisection step
+    gk15, calls = tx.metrics._gk15, []
+    monkeypatch.setattr(tx.metrics, "_gk15", lambda *args: calls.append(1) or gk15(*args))
+    spec = SchemeSpec(Scheme.MIN_ES, kn)
+    for s in (0.5, 1.0):
+        for db in range(0, 61, 10):
+            calls.clear()
+            tx.sop(make_scenario(n=12, k=6, s=s, dest_db=float(db)), spec)
+            assert 1 <= len(calls) <= 2, (s, db, len(calls))
+
+
+@pytest.mark.parametrize("kn", list(Knowledge), ids=lambda k: k.name)
+def test_tts_sop_routes_by_rounding_bound(kn):
+    # N = 12, K = 6, s = 1, 30 dB: the TTS closed form is 9.5e-7 relative
+    # off (1.9953332659e-6 for 1.9953351551e-6), under a bound of 1.3e-5
+    mp = pytest.importorskip("mpmath")
+    sc = make_scenario(n=12, k=6, s=1.0, dest_db=30.0)
+    spec = SchemeSpec(Scheme.TTS, kn)
+    with mp.workdps(40):
+        y, b, n_tx = mp.mpf(sc.rho), mp.mpf(sc.dest_rate), sc.n_transmitters
+        # at s = 1 both knowledge cases are F = 1 - sum_n C(N,n) (-1)^(n+1)
+        # sum_k w_k lam_k e^{-n b (y-1)} / (n b y + lam_k); the table of the
+        # least of one draw is the (w_k, lam_k) of one link
+        tail = mp.fsum(
+            math.comb(n_tx, n) * (-1) ** (n + 1) * mp.exp(-n * b * (y - 1))
+            * mp.fsum(w * lam / (n * b * y + lam) for w, lam in mp_min_table(1, sc.eave_rates, mp))
+            for n in range(1, n_tx + 1)
+        )
+        want = float(1 - tail)
+    ev = RatioCdfEvaluator(sc, spec)
+    assert abs(ev._closed_form(sc.rho) - want) > 1e-7 * want
+    assert abs(tx.sop(sc, spec) - want) <= 1e-9 * want, (tx.sop(sc, spec), want)
+    # the bound counts the head's weights and every term of the table
+    w = channel.hypoexp_weights(sc.eave_rates)
+    terms = math.fsum(abs(weight * c) for weight, coeffs, _, _ in ev.parts() for c in coeffs)
+    assert ev._table[1] == pytest.approx(
+        sys.float_info.epsilon * (math.fsum(map(abs, w)) + terms), rel=1e-12, abs=0.0
+    )
 
 
 @pytest.mark.parametrize("kn", list(Knowledge), ids=lambda k: k.name)
