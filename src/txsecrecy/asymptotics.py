@@ -210,7 +210,7 @@ def _ots_offset(n_tx: int, w: tuple, lams: tuple, a: float) -> float:
     rule; as |g| <= t head (1 + N (1 + E[SE])) and |g| <= N head e^{-t},
     the range t in [e^-40 / (1 + N (1 + E[SE])), 40 + ln(1 + N)] leaves
     out less than e^-40 head.  Raises :class:`QuadratureError` if the
-    error estimate exceeds 1e-10 head.
+    value is not finite or its error estimate exceeds 1e-10 head.
     """
     head = 1.0 - (1.0 - a) ** n_tx
     w_arr, lam_arr = np.array(w), np.array(lams)
@@ -226,9 +226,12 @@ def _ots_offset(n_tx: int, w: tuple, lams: tuple, a: float) -> float:
         else:
             # (1 - a + a miss)^N - (1-a)^N, by expm1/log1p where it cancels
             r = np.minimum(a * miss / (1.0 - a), 1.0)
+            # noise weights can give r < -1, whose NaN the check below refuses
+            with np.errstate(invalid="ignore"):
+                grown = np.expm1(n_tx * np.log1p(r))
             power = np.where(
                 r < 1.0,
-                (1.0 - a) ** n_tx * np.expm1(n_tx * np.log1p(r)),
+                (1.0 - a) ** n_tx * grown,
                 (1.0 - a + a * miss) ** n_tx - (1.0 - a) ** n_tx,
             )
         return power + head * np.expm1(-t)

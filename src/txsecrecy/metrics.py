@@ -10,17 +10,15 @@ or by adaptive quadrature (all schemes, authoritative for OTS).
 
 Every integral in the library runs on one vectorized adaptive
 Gauss-Kronrod 7/15 rule; its callers raise :class:`QuadratureError`
-rather than return an unconverged value.  A MIN-ES term table is summed
-only while it has at most 300 terms (above that none is built) and its
-rounding bound is at most 1e-6 of the value (of min(F, 1 - F) for SOP and
-NZSR); elsewhere the value is one integral of a kernel against the
-density of the selected eavesdropping SNR, :func:`_min_eave_integral`,
-at any N.  TTS SOP and NZSR integrate past the same bound on
-min(F, 1 - F), and every scheme integrates F where its closed form is
-below 1e-8.  For TTS and OTS the ESR quadrature integrates the closed
-form's tail sum 1 - F, evaluated on numpy arrays of nodes, in log space
-up to V = ln(1 + (40 + ln N)/lambda_D), where
-1 - F <= N e^{-lambda_D (x-1)} is below e^-40, and refuses
+rather than return an unconverged value.  Every closed form is taken
+only while its rounding bound is at most 1e-6 of the value (of
+min(F, 1 - F) for SOP and NZSR), and a MIN-ES table only up to 300 terms
+(above that none is built); elsewhere F and the MIN-ES ESR are one
+integral of a kernel against the density of the selected eavesdropping
+SNR, :func:`_min_eave_integral`, at any N.  For TTS and OTS the ESR
+quadrature integrates the closed form's tail sum 1 - F, evaluated on
+numpy arrays of nodes, in log space up to V = ln(1 + (40 + ln N)/lambda_D),
+where 1 - F <= N e^{-lambda_D (x-1)} is below e^-40, and refuses
 (:class:`QuadratureError`) a term table whose worst-case rounding error
 over that range exceeds 1e-6 bits.
 """
@@ -44,10 +42,6 @@ from .specfun import exp_scaled_ei
 
 LN2 = math.log(2.0)
 
-#: Below this value the alternating closed forms of the ratio CDF are
-#: dominated by cancellation and the definitional integral is used instead.
-_CANCELLATION_FLOOR = 1e-8
-
 #: MIN-ES SOP, NZSR and ESR integrate rather than expand a term table of
 #: more terms than this, about where the integral becomes the faster
 #: route: at y = 2 and 30 dB an SOP value from a cached table of 252
@@ -59,13 +53,13 @@ _MAX_TABLE_TERMS = 300
 
 #: A closed form is taken only while its rounding bound eps sum_i |t_i|
 #: over its terms t_i is at most this share of the value: min(F, 1 - F)
-#: for MIN-ES and TTS SOP and NZSR, the ESR for MIN-ES and TTS, and the
+#: for every scheme's SOP and NZSR, the ESR for MIN-ES and TTS, and the
 #: TTS line offset (Higham, Accuracy and Stability of Numerical
 #: Algorithms, 2nd ed., ch. 4).
 _ROUNDING_SHARE = 1e-6
 
 #: Upper bound on the points x terms products :meth:`RatioCdfEvaluator.survival`
-#: forms at once; a TTS-BKA table at N = 40, K = 6 has 4,920 terms.
+#: forms at once; a TTS table at N = 40, K = 6 has 240 terms.
 _CHUNK_ELEMENTS = 1 << 16
 
 #: Equal pieces of [0, upper] that :func:`_adaptive_gk15` starts from.  A
@@ -134,8 +128,8 @@ class RatioCdfEvaluator:
       n with the BKA weight for BKA; the MIN-ES coeffs/lams are the term
       tables :func:`~txsecrecy.channel.min_hypoexp_terms` caches per
       (n, eavesdropper rates), shared, never copied;
-    - TTS: F = head - sum_i c_i J_i over the binomial parts of the max
-      of the destination SNRs, head = P(SE >= x0);
+    - TTS: F = head - sum_i c_i J_i over the binomial parts of the best
+      destination tail, one per order q = 1..N, head = P(SE >= x0);
     - OTS: the single link's g = head - sum_i c_i J_i from its one part
       (1, hypoexponential weights, eavesdropper rates, lambda_D), and
       F = (1-s) + s g^N (BKU) or ((1-s) head + s g)^N (BKA).
@@ -169,47 +163,41 @@ class RatioCdfEvaluator:
 
         The bound on the closed form's rounding is eps sum_i |weight c_i|
         for MIN-ES and eps (sum_k |w_k| + sum_i |weight c_i|) for TTS,
-        whose head sum_k w_k e^{-lam_k x0} is alternating too; it is 0
-        for OTS, whose route does not read it.
+        whose head sum_k w_k e^{-lam_k x0} is alternating too.  For OTS it
+        is eps 2 sum_k |w_k| on the single-link value, whose head and tail
+        each read the weights once.
         """
         sc, spec = self.scenario, self.spec
         n_tx, s, lam_d, lam_e = sc.n_transmitters, sc.s, sc.dest_rate, sc.eave_rates
-        abs_sum = 0.0
         if spec.scheme is Scheme.MIN_ES:
+            # the minimum runs over all N transmitters (BKU) or over the n
+            # active ones, weighted by the chance that n are active (BKA)
             if spec.knowledge is Knowledge.BKU:
-                (coeffs, lams), abs_sum = _min_hypoexp_table(n_tx, lam_e)
-                parts = ((s, coeffs, lams, lam_d),)
-                abs_sum *= s
+                weights = {n_tx: s}
             else:
-                # the minimum runs over the n active transmitters
-                parts = []
-                for n in range(1, n_tx + 1):
-                    weight = bka_weight(n_tx, n, s)
-                    (coeffs, lams), table_abs_sum = _min_hypoexp_table(n, lam_e)
-                    parts.append((weight, coeffs, lams, lam_d))
-                    abs_sum += weight * table_abs_sum
-                parts = tuple(parts)
+                weights = {n: bka_weight(n_tx, n, s) for n in range(1, n_tx + 1)}
+            parts, abs_sum = [], 0.0
+            for n, weight in weights.items():
+                (coeffs, lams), table_abs_sum = _min_hypoexp_table(n, lam_e)
+                parts.append((weight, coeffs, lams, lam_d))
+                abs_sum += weight * table_abs_sum
+            parts = tuple(parts)
         elif spec.scheme is Scheme.OTS:
             parts = ((1.0, self._hypo_w, lam_e, lam_d),)
-        elif spec.knowledge is Knowledge.BKU:
-            # the dead-backhaul mass of TTS sits in the destination
-            # mixture, not in a separate atom
+            abs_sum = 2.0 * sum(map(abs, self._hypo_w))
+        else:
+            # the best destination tail is s (1 - (1 - e^{-u})^N) (BKU) or
+            # 1 - (1 - s e^{-u})^N (BKA): pref sum_q C(N,q) (-1)^{q+1} a^q
+            # e^{-q u}, so the dead-backhaul mass of TTS sits in the
+            # destination mixture, not in a separate atom
+            pref, a = (s, 1.0) if spec.knowledge is Knowledge.BKU else (1.0, s)
             parts = tuple(
-                (s * math.comb(n_tx, n) * (-1.0) ** (n + 1), self._hypo_w, lam_e, n * lam_d)
-                for n in range(1, n_tx + 1)
+                (pref * math.comb(n_tx, q) * (-1.0) ** (q + 1) * a**q, self._hypo_w, lam_e, q * lam_d)
+                for q in range(1, n_tx + 1)
             )
             # the head and every part read the same weights, and the
-            # parts' |weight| sum to s (2^N - 1)
-            abs_sum = sum(map(abs, self._hypo_w)) * (1.0 + s * (2.0**n_tx - 1.0))
-        else:
-            parts = tuple(
-                (bka_weight(n_tx, n, s) * math.comb(n, q) * (-1.0) ** (q + 1),
-                 self._hypo_w, lam_e, q * lam_d)
-                for n in range(1, n_tx + 1)
-                for q in range(1, n + 1)
-            )
-            # as for BKU; here the parts' |weight| sum to (1 + s)^N - 1
-            abs_sum = sum(map(abs, self._hypo_w)) * (1.0 + s) ** n_tx
+            # parts' |weight| sum to pref ((1 + a)^N - 1)
+            abs_sum = sum(map(abs, self._hypo_w)) * (1.0 + pref * ((1.0 + a) ** n_tx - 1.0))
         return parts, sys.float_info.epsilon * abs_sum
 
     @cached_property
@@ -270,10 +258,12 @@ class RatioCdfEvaluator:
         rates = self.scenario.eave_rates
         return math.fsum(wk * math.exp(-lk * x) for wk, lk in zip(self._hypo_w, rates))
 
-    def _closed_form(self, y: float) -> float:
+    def _closed_form(self, y: float) -> tuple:
+        """(F(y), bound on its rounding error): :attr:`_table`'s, raised to F's for OTS."""
         # per-y invariants hoisted out of the term loop, which reads the
         # parts directly; fsum is correctly rounded in any term order
         sc, spec = self.scenario, self.spec
+        bound = self._table[1]
         x0 = max(0.0, 1.0 / y - 1.0)
         ym1 = max(y - 1.0, 0.0)
         exp = math.exp
@@ -284,7 +274,7 @@ class RatioCdfEvaluator:
                 for weight, coeffs, lams, b in self.parts()
                 for c, lam in zip(coeffs, lams)
             )
-            return self._atom + body
+            return self._atom + body, bound
         head = self._eave_sf(x0)
         tail = math.fsum(
             (weight * c) * (lam * exp(-b * ym1 - lam * x0) / (b * y + lam))
@@ -292,19 +282,28 @@ class RatioCdfEvaluator:
             for c, lam in zip(coeffs, lams)
         )
         if spec.scheme is Scheme.TTS:
-            return head - tail
+            return head - tail, bound
         # OTS: head - tail is the single-link CDF; an inactive transmitter
-        # carries ratio 1/(1 + SE), whose per-link factor is the head
-        if spec.knowledge is Knowledge.BKU:
-            return (1.0 - sc.s) + sc.s * (head - tail) ** sc.n_transmitters
-        return ((1.0 - sc.s) * head + sc.s * (head - tail)) ** sc.n_transmitters
+        # carries ratio 1/(1 + SE), whose per-link factor is the head.  As
+        # x moves by the bound d, x^N moves by at most (|x| + d)^N - |x|^N,
+        # formed by expm1/log1p: the linearised N |x|^{N-1} d would vanish
+        # where x rounds to 0.  It is capped at 1 against overflow; 1 still refuses.
+        n_tx, s = sc.n_transmitters, sc.s
+        bku = spec.knowledge is Knowledge.BKU
+        x = head - tail if bku else (1.0 - s) * head + s * (head - tail)
+        ax = abs(x)
+        grow = n_tx * math.log1p(bound / ax) if ax > 0.0 else math.inf
+        moved = math.exp(min(n_tx * math.log(ax + bound) + math.log(-math.expm1(-grow)), 0.0))
+        if bku:
+            return (1.0 - s) + s * x**n_tx, s * moved
+        return x**n_tx, moved
 
     def _definitional(self, y: float) -> float:
         """Quadrature of the defining integral with unexpanded CDFs.
 
-        Free of alternating-sign cancellation; used in the closed form's
-        deep left tail and wherever a MIN-ES table is too large or too
-        rounded (see :meth:`__call__`).  :func:`_min_eave_integral` takes,
+        Free of alternating-sign cancellation; used wherever the closed
+        form is too rounded or a MIN-ES table too large (see
+        :meth:`__call__`).  :func:`_min_eave_integral` takes,
         over x >= x0 = max(0, 1/y - 1), F_D = 1 - e^{-lambda_D (y (x+1) - 1)}
         over the least of N eavesdropping SNRs, each present with
         probability 1 (BKU) or s (BKA) (MIN-ES), or, over one link,
@@ -336,24 +335,20 @@ class RatioCdfEvaluator:
         """F(y), clamped to [0, 1]: the closed form where it is safe, else the integral.
 
         Every scheme integrates (:meth:`_definitional`) where the closed
-        form is below 1e-8, the deep left tail where its alternating sums
-        cancel.  MIN-ES also integrates when its term table has more than
-        300 terms, without building the table, and MIN-ES and TTS when
-        the table's rounding bound (see :attr:`_table`) exceeds
-        1e-6 min(F, 1 - F), so that both F and 1 - F keep six digits.
-        The integral raises :class:`QuadratureError` rather than return
-        an unconverged value.
+        form's rounding bound (see :meth:`_closed_form`) exceeds
+        1e-6 min(F, 1 - F), so that both F and 1 - F keep six digits; a
+        closed form that cancels to 0 or below always fails this test.
+        MIN-ES also integrates, faster, when its table would have more
+        than 300 terms, and builds none.  The integral raises
+        :class:`QuadratureError` rather than return an unconverged value.
         """
         if y <= 0.0:
             return 0.0
         if self.spec.scheme is Scheme.MIN_ES and not self._expand:
             val = self._definitional(y)
         else:
-            val = self._closed_form(y)
-            if val < _CANCELLATION_FLOOR or (
-                self.spec.scheme is not Scheme.OTS
-                and self._table[1] > _ROUNDING_SHARE * min(val, 1.0 - val)
-            ):
+            val, bound = self._closed_form(y)
+            if bound > _ROUNDING_SHARE * min(val, 1.0 - val):
                 val = self._definitional(y)
         return min(max(val, 0.0), 1.0)
 
@@ -366,9 +361,9 @@ def ratio_cdf(scenario: Scenario, spec: SchemeSpec, y: float) -> float:
 def sop(scenario: Scenario, spec: SchemeSpec) -> float:
     """Secrecy outage probability, F(2^threshold_rate).
 
-    From the closed form or the definitional integral, routed as in
-    :meth:`RatioCdfEvaluator.__call__`; MIN-ES builds no term table of
-    more than 300 terms here.
+    From the closed form or the definitional integral by one rounding
+    rule (:meth:`RatioCdfEvaluator.__call__`); MIN-ES builds no term
+    table of more than 300 terms here.
     """
     return RatioCdfEvaluator(scenario, spec)(scenario.rho)
 
@@ -376,7 +371,7 @@ def sop(scenario: Scenario, spec: SchemeSpec) -> float:
 def nzsr(scenario: Scenario, spec: SchemeSpec) -> float:
     """Probability of a strictly positive secrecy rate, 1 - F(1).
 
-    Routed as :func:`sop`; the MIN-ES and TTS rounding bound is held against
+    Routed as :func:`sop`; every scheme's rounding bound is held against
     min(F, 1 - F), so a closed-form 1 - F also keeps six digits.
     """
     return 1.0 - RatioCdfEvaluator(scenario, spec)(1.0)

@@ -79,7 +79,9 @@ def jitter_rates(rates, scale: float = 2.0 * RATE_SEPARATION) -> tuple[float, ..
     relative spacing 1e-5 the hypoexponential survival function is
     already off by about 1.7e-7 relative.  At the default spacing the
     weights of three equal rates reach 5e11 in magnitude, and the exact
-    metrics of K >= 3 such eavesdroppers are rounding noise.
+    SOP and NZSR of K >= 3 such eavesdroppers raise
+    :class:`~txsecrecy.errors.QuadratureError` rather than return
+    rounding noise.
     """
     return tuple(r * (1.0 + scale * k) for k, r in enumerate(rates))
 

@@ -298,6 +298,16 @@ def test_ots_offset_refuses_an_unconverged_integral(monkeypatch):
 
 
 @pytest.mark.parametrize("kn", list(Knowledge), ids=lambda k: k.name)
+def test_ots_offset_refuses_rounding_noise_weights(kn):
+    # four equal rates 2e-6 apart: sum |w_k| is 1.7e17, so the integrand
+    # is noise (for BKA its log1p sees arguments below -1); the call
+    # raises QuadratureError, not numpy's RuntimeWarning
+    sc = tx.Scenario(3, 4, 0.9, 0.01, tx.jitter_rates((0.5,) * 4), 1.0)
+    with pytest.raises(tx.QuadratureError):
+        tx.esr_asymptote(sc, SchemeSpec(Scheme.OTS, kn))
+
+
+@pytest.mark.parametrize("kn", list(Knowledge), ids=lambda k: k.name)
 def test_ots_offset_does_not_depend_on_dest_snr(kn):
     spec = SchemeSpec(Scheme.OTS, kn)
     tx.asymptotics._ots_offset.cache_clear()

@@ -23,7 +23,7 @@ def test_closed_form_matches_definitional_quadrature(spec):
     sc = make_scenario(n=4, k=3, s=0.7)
     ev = RatioCdfEvaluator(sc, spec)
     for y in (0.5, 1.0, 2.0, 7.0):
-        assert ev._closed_form(y) == pytest.approx(ev._definitional(y), abs=1e-10)
+        assert ev._closed_form(y)[0] == pytest.approx(ev._definitional(y), abs=1e-10)
 
 
 def _reference_definitional(ev, y):
@@ -99,7 +99,7 @@ def test_definitional_matches_scalar_quad_reference(args, spec):
 def test_definitional_sees_the_integrand_at_small_y(spec):
     # the integrand is zero below x0 = 1/y - 1 = 499; the integral starts there
     sc = make_scenario(n=4, k=3, s=0.7)
-    want = RatioCdfEvaluator(sc, spec)._closed_form(0.002)
+    want = RatioCdfEvaluator(sc, spec)._closed_form(0.002)[0]
     assert 0.0 < want < 1e-8
     assert tx.ratio_cdf(sc, spec, 0.002) == pytest.approx(want, rel=1e-12, abs=0.0)
 
@@ -274,7 +274,7 @@ def test_survival_matches_scalar_closed_form(spec):
     sc = make_scenario(n=4, k=3, s=0.7)
     ev = RatioCdfEvaluator(sc, spec)
     xs = np.geomspace(1.0, 1e4, 41)
-    want = [1.0 - ev._closed_form(x) for x in xs]
+    want = [1.0 - ev._closed_form(x)[0] for x in xs]
     # each side within the rounding bound of the same table, plus 1 - F's
     tol = 2.0 * ev.survival_error_bound() + 2.0**-52
     assert ev.survival(xs) == pytest.approx(want, rel=1e-12, abs=tol)
@@ -361,6 +361,44 @@ def test_deep_tail_cancellation_fallback():
     assert v70 / v80 == pytest.approx(1e5, rel=0.05)
 
 
+@pytest.mark.parametrize("kn", list(Knowledge), ids=lambda k: k.name)
+def test_ots_deep_tail_keeps_the_closed_form(kn, monkeypatch):
+    # N = 30, s = 1, 60 dB: F(0.1) is about 8.5e-195, yet the single-link
+    # value x (about 3e-7) is known to eps 2 sum |w_k|, so x^30 keeps
+    # about seven digits and the router needs no integral
+    sc = tx.scenario_from_db(30, 2, 1.0, 60.0, (6.0, 8.0))
+    ev = RatioCdfEvaluator(sc, SchemeSpec(Scheme.OTS, kn))
+    want = ev._definitional(0.1)
+    assert 0.0 < want < 1e-190
+    monkeypatch.setattr(RatioCdfEvaluator, "_definitional", lambda self, y: pytest.fail("integrated"))
+    assert ev(0.1) == pytest.approx(want, rel=1e-6, abs=0.0)
+
+
+@pytest.mark.parametrize("kn", list(Knowledge), ids=lambda k: k.name)
+def test_ots_point_past_its_rounding_bound_is_integrated(kn):
+    # N = 5, s = 1, 110 dB: F's bound is 1.3e-5 of F = 1.1e-46 and the
+    # closed form is 2.6e-7 off, so the router takes the integral
+    sc = make_scenario(n=5, k=3, s=1.0, dest_db=110.0)
+    ev = RatioCdfEvaluator(sc, SchemeSpec(Scheme.OTS, kn))
+    val, bound = ev._closed_form(sc.rho)
+    want = ev._definitional(sc.rho)
+    assert bound > 1e-6 * val
+    assert abs(val - want) > 1e-7 * want
+    assert tx.sop(sc, ev.spec) == want
+
+
+@pytest.mark.parametrize("k", (3, 4))
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label)
+def test_jittered_equal_rates_refuse_sop_and_nzsr(spec, k):
+    # equal rates 2e-6 apart: sum |w_k| is 5e11 (K = 3) or 1.7e17 (K = 4),
+    # so every closed form is rounding noise and so is the eavesdropper
+    # pdf of the integral; no scheme may return a value
+    sc = tx.Scenario(3, k, 0.9, 0.01, tx.jitter_rates((0.5,) * k), 1.0)
+    for metric in (tx.sop, tx.nzsr):
+        with pytest.raises(tx.QuadratureError):
+            metric(sc, spec)
+
+
 def test_secrecy_report_consistency():
     sc = make_scenario()
     for spec in ALL_SPECS:
@@ -387,17 +425,17 @@ def _concatenated_table(sc, spec):
         return list(coeffs), list(lams), [lam_d] * len(coeffs)
     w = channel.hypoexp_weights(sc.eave_rates)
     coeffs, lams, bs = [], [], []
-    for n in range(1, n_tx + 1):
+    for q in range(1, n_tx + 1):
+        # the best destination tail s (1 - (1 - e^{-u})^N) (BKU) or
+        # 1 - (1 - s e^{-u})^N (BKA), expanded by the binomial theorem
         if spec.knowledge is Knowledge.BKU:
-            mults = [(s * math.comb(n_tx, n) * (-1.0) ** (n + 1), n)]
+            cq = s * math.comb(n_tx, q) * (-1.0) ** (q + 1)
         else:
-            p_n = math.comb(n_tx, n) * (1.0 - s) ** (n_tx - n) * s**n
-            mults = [(p_n * math.comb(n, q) * (-1.0) ** (q + 1), q) for q in range(1, n + 1)]
-        for cq, q in mults:
-            for wk, lk in zip(w, sc.eave_rates):
-                coeffs.append(cq * wk)
-                lams.append(lk)
-                bs.append(q * lam_d)
+            cq = math.comb(n_tx, q) * s**q * (-1.0) ** (q + 1)
+        for wk, lk in zip(w, sc.eave_rates):
+            coeffs.append(cq * wk)
+            lams.append(lk)
+            bs.append(q * lam_d)
     return coeffs, lams, bs
 
 
@@ -446,7 +484,7 @@ def test_streamed_parts_match_concatenated_table_exactly(scheme, kn):
             want = head - math.fsum(
                 c * _term_integral(lam, b, y) for c, lam, b in zip(coeffs, lams, bs)
             )
-        assert ev._closed_form(y) == want
+        assert ev._closed_form(y)[0] == want
     if scheme is Scheme.MIN_ES:
         # above the table-size cutoff the MIN-ES ESR is the integral, not the table sum
         assert tx.esr_closed_form(sc, spec) == tx.esr_quadrature(sc, spec)
@@ -479,7 +517,7 @@ def test_ots_closed_form_keeps_single_link_bits(kn, n, k):
         return ((1.0 - sc.s) * head + sc.s * g) ** sc.n_transmitters
 
     for y in (0.25, 0.9, 1.0, 1.5, 7.0):
-        assert ev._closed_form(y).hex() == reference(y).hex()
+        assert ev._closed_form(y)[0].hex() == reference(y).hex()
 
 
 @pytest.mark.parametrize("scheme", [Scheme.MIN_ES, Scheme.TTS], ids=lambda s: s.name)
@@ -618,7 +656,7 @@ def test_tts_sop_routes_by_rounding_bound(kn):
         )
         want = float(1 - tail)
     ev = RatioCdfEvaluator(sc, spec)
-    assert abs(ev._closed_form(sc.rho) - want) > 1e-7 * want
+    assert abs(ev._closed_form(sc.rho)[0] - want) > 1e-7 * want
     assert abs(tx.sop(sc, spec) - want) <= 1e-9 * want, (tx.sop(sc, spec), want)
     # the bound counts the head's weights and every term of the table
     w = channel.hypoexp_weights(sc.eave_rates)
