@@ -33,12 +33,10 @@ from functools import cached_property
 
 import numpy as np
 
-from scipy.special import exp1
-
 from .channel import _min_hypoexp_table, bka_weight, hypoexp_weights
 from .errors import QuadratureError, UnsupportedClosedFormError
 from .scenario import Knowledge, Scenario, Scheme, SchemeSpec
-from .specfun import exp_scaled_ei
+from .specfun import exp_scaled_e1, exp_scaled_ei
 
 LN2 = math.log(2.0)
 
@@ -501,7 +499,10 @@ def esr_quadrature(scenario: Scenario, spec: SchemeSpec, epsabs: float = 1e-9) -
     MIN-ES needs no term table at any N: for y >= 1, 1 - F(y) is s times
     the mean of e^{-lambda_D (y (1+x) - 1)} over the selected eavesdropping
     SNR x, so :func:`_min_eave_integral` (a = 1 for BKU, s for BKA; no
-    ``epsabs``) takes the kernel e^{lambda_D} E1(lambda_D (1+x)).  TTS and
+    ``epsabs``) takes the kernel e^{lambda_D} E1(lambda_D (1+x)), formed
+    for every lambda_D as e^{-lambda_D x} g(lambda_D (1+x)) with
+    g(z) = e^z E1(z) (:func:`~txsecrecy.specfun.exp_scaled_e1`), so that
+    e^{lambda_D} never overflows.  TTS and
     OTS integrate 1 - F in log space: the integral of 1 - F(e^v) over v >= 0,
     divided by ln 2.  The selected destination SNR is at most the best
     of N exponential links, so 1 - F(x) <= N e^{-lambda_D (x-1)} and the
@@ -522,10 +523,7 @@ def esr_quadrature(scenario: Scenario, spec: SchemeSpec, epsabs: float = 1e-9) -
         lam_d, s = scenario.dest_rate, scenario.s
 
         def kappa(x):
-            if lam_d < 600.0:
-                return math.exp(lam_d) * exp1(lam_d * (1.0 + x))
-            # e^{lambda_D} overflows; the fused e^z Ei(-z) does not
-            return -np.exp(-lam_d * x) * np.vectorize(exp_scaled_ei)(lam_d * (1.0 + x))
+            return np.exp(-lam_d * x) * exp_scaled_e1(lam_d * (1.0 + x))
 
         a = 1.0 if spec.knowledge is Knowledge.BKU else s
         return s * _min_eave_integral(scenario.eave_rates, scenario.n_transmitters, a, kappa) / LN2

@@ -61,11 +61,32 @@ def test_benchmark_bound_name_exists(module, attr, params):
 
 
 def test_library_does_not_import_scipy_integrate():
-    # every integral in the library runs on the one GK15 rule in metrics;
-    # a fresh interpreter, as the test modules import scipy.integrate
+    # the library needs numpy alone: every integral runs on the one GK15
+    # rule in metrics and e^a E1(a) comes from specfun; a fresh
+    # interpreter, as the test modules import scipy, checked after import
+    # and after one call down each path that reads the kernel
     src = str(Path(tx.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join((src, os.environ.get("PYTHONPATH", "")))}
-    code = "import sys, txsecrecy, txsecrecy.cli; print('scipy.integrate' in sys.modules)"
+    code = """
+import sys
+import txsecrecy as tx, txsecrecy.cli
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+loaded = [scipy_loaded()]
+spec = tx.SchemeSpec(tx.Scheme.MIN_ES, tx.Knowledge.BKU)
+sc = tx.scenario_from_db(3, 2, 0.9, 20.0, (6.0, 8.0))
+tx.sop(sc, spec)
+tx.esr_closed_form(sc, spec)
+tx.esr_quadrature(sc, spec)
+low = tx.scenario_from_db(3, 2, 0.9, -30.0, (6.0, 8.0))
+assert low.dest_rate > 600.0
+tx.esr_quadrature(low, spec)
+tx.esr_asymptote(sc, spec)
+loaded.append(scipy_loaded())
+print(loaded)
+"""
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[[], []]"

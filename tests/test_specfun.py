@@ -1,11 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 import scipy.special as sc
 from scipy.integrate import quad
 
 from txsecrecy.errors import DomainError
-from txsecrecy.specfun import _e1_scaled_cf, exp_scaled_ei
+from txsecrecy.specfun import _CF_FROM, _e1_scaled_cf, exp_scaled_e1, exp_scaled_ei
 
 
 def test_ei_known_value():
@@ -46,4 +47,25 @@ def test_exp_scaled_ei_domain():
         exp_scaled_ei(0.0)
     with pytest.raises(DomainError):
         exp_scaled_ei(-2.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            exp_scaled_ei(bad)
+
+
+def test_exp_scaled_e1_forms_match_mpmath():
+    # both forms within 2e-15 of a 40-digit e^a E1(a), and of each other, on
+    # a log grid over [1e-300, 1e6] and at and beside every range boundary
+    mp = pytest.importorskip("mpmath")
+    edges = [1.0] + [2.0**e for e in range(1, 7)]
+    assert edges[-1] == _CF_FROM
+    beside = [x for b in edges for x in (math.nextafter(b, 0.0), b, math.nextafter(b, math.inf))]
+    grid = np.concatenate([np.logspace(-300.0, 6.0, 1531), beside])
+    array = exp_scaled_e1(grid)
+    with mp.workdps(40):
+        for a, g_array in zip(grid.tolist(), array.tolist()):
+            want = mp.exp(a) * mp.e1(a)
+            g_scalar = -exp_scaled_ei(a)
+            assert abs(g_scalar - want) <= 2e-15 * want, a
+            assert abs(g_array - want) <= 2e-15 * want, a
+            assert g_array == pytest.approx(g_scalar, rel=2e-15, abs=0.0), a
 
