@@ -29,6 +29,6 @@ for spec in ALL_SPECS:
               f"{e.mean:12.6f} {e.std_error:10.2e} {z:+6.2f}")
 
 # determinism: same config, same numbers
-again = tx.estimate(sc, ALL_SPECS[0], cfg, Metric.SOP)
-assert again.mean == tx.estimate(sc, ALL_SPECS[0], cfg, Metric.SOP).mean
+again = tx.estimate_metrics(sc, ALL_SPECS[0], cfg)[Metric.SOP]
+assert again.mean == tx.estimate_metrics(sc, ALL_SPECS[0], cfg)[Metric.SOP].mean
 print("\nreruns with the same seed are bit-identical")

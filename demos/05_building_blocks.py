@@ -9,7 +9,8 @@ import numpy as np
 
 import txsecrecy as tx
 from txsecrecy.channel import (
-    HypoexpDist,
+    hypoexp_cdf,
+    hypoexp_sf,
     hypoexp_weights,
     min_eave_sel_bka_terms,
     min_hypoexp_terms,
@@ -19,14 +20,16 @@ from txsecrecy.specfun import exp_scaled_ei
 
 # K = 3 colluding eavesdroppers at 6, 9, 13 dB mean SNR
 rates = tuple(tx.snr_db_to_rate(db) for db in (6.0, 9.0, 13.0))
-dist = HypoexpDist(rates)
-print(f"MRC eavesdropping SNR: mean {dist.mean:.3f} (= sum of link means)")
+mean = sum(1.0 / r for r in rates)
+print(f"MRC eavesdropping SNR: mean {mean:.3f} (= sum of link means)")
 print(f"survival weights {np.round(hypoexp_weights(rates), 4)} (sum to 1)")
+cdf = hypoexp_cdf(np.array([0.1, 1.0, 10.0]), rates)  # elementwise on an array
+print("CDF at 0.1, 1, 10: " + ", ".join(f"{v:.3e}" for v in cdf))
 
 rng = np.random.default_rng(7)
-draws = dist.rvs(100_000, rng)
+draws = sum(rng.exponential(1.0 / r, 100_000) for r in rates)
 print(f"empirical mean {draws.mean():.3f}, P[X > 20] = {(draws > 20).mean():.4f} "
-      f"vs sf(20) = {dist.sf(20.0):.4f}\n")
+      f"vs sf(20) = {hypoexp_sf(20.0, rates):.4f}\n")
 
 # min over N transmitters: multinomial expansion of S(x)^N
 coeffs, lams = min_hypoexp_terms(3, rates)

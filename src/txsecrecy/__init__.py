@@ -17,7 +17,6 @@ from .asymptotics import (
     sop_asymptote,
     sop_high_snr_approx,
 )
-from .channel import HypoexpDist
 from .errors import (
     DomainError,
     InvalidRegimeError,
@@ -27,17 +26,14 @@ from .errors import (
     UnsupportedClosedFormError,
 )
 from .metrics import (
-    EsrMethod,
     RatioCdfEvaluator,
-    SecrecyReport,
     esr_closed_form,
     esr_quadrature,
     nzsr,
     ratio_cdf,
-    secrecy_report,
     sop,
 )
-from .montecarlo import McConfig, McEstimate, Metric, estimate, estimate_many, estimate_metrics
+from .montecarlo import McConfig, McEstimate, Metric, estimate_many, estimate_metrics
 from .scenario import (
     ALL_SPECS,
     Knowledge,
@@ -57,8 +53,6 @@ __all__ = [
     "DiversityFit",
     "DomainError",
     "EsrAsymptote",
-    "EsrMethod",
-    "HypoexpDist",
     "InvalidRegimeError",
     "Knowledge",
     "McConfig",
@@ -70,7 +64,6 @@ __all__ = [
     "Scenario",
     "Scheme",
     "SchemeSpec",
-    "SecrecyReport",
     "SopAsymptote",
     "TxSecrecyError",
     "UnsupportedClosedFormError",
@@ -80,7 +73,6 @@ __all__ = [
     "esr_closed_form",
     "esr_high_snr_ots",
     "esr_quadrature",
-    "estimate",
     "estimate_many",
     "estimate_metrics",
     "jitter_rates",
@@ -89,7 +81,6 @@ __all__ = [
     "rate_to_snr_db",
     "ratio_cdf",
     "scenario_from_db",
-    "secrecy_report",
     "snr_db_to_rate",
     "sop",
     "sop_asymptote",

@@ -6,27 +6,26 @@ scheme and of the eavesdroppers.  With perfect backhaul the SOP instead
 decays polynomially with a scheme-dependent diversity order.  The ESR
 grows along a straight line in ln(1/lambda_D) whose slope depends only
 on s (and N in the BKA case), for every scheme and every number of
-eavesdroppers; the power offset is scheme specific.  TTS sums one offset
-constant per term of the ratio CDF's term table; MIN-ES integrates
-ln(1 + x) over the selected eavesdropper, and OTS the Laplace transform
-of its single-link table, each once per table and at any N.
+eavesdroppers; the power offset is scheme specific.  For MIN-ES and TTS,
+which pick their link from one side only, it is E[ln(1 + E)] over the
+selected eavesdropping SNR less E[ln(lambda_D D)] over the selected
+destination SNR, each an integral of nonnegative probabilities; OTS
+integrates the Laplace transform of its single-link table.  Each is
+computed once per (N, eavesdroppers, a) and holds at any N.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import _any_of, hypoexp_cdf
 from .errors import InvalidRegimeError, QuadratureError, UnsupportedClosedFormError
-from .metrics import (
-    _ROUNDING_SHARE, LN2, RatioCdfEvaluator, _adaptive_gk15, _min_eave_integral, sop,
-)
+from .metrics import LN2, RatioCdfEvaluator, _adaptive_gk15, _min_eave_integral, sop
 from .scenario import Knowledge, Scenario, Scheme, SchemeSpec
-from .specfun import exp_scaled_ei
 
 _EULER = 0.5772156649015329
 
@@ -141,54 +140,110 @@ def sop_high_snr_approx(scenario: Scenario, spec: SchemeSpec) -> float:
 def esr_asymptote(scenario: Scenario, spec: SchemeSpec) -> EsrAsymptote:
     """Slope and power offset of the high-SNR ESR line, for every scheme and K.
 
-    As lambda_D -> 0 the ESR in nats is sum_i w_i (ln(1/lambda_D) - gamma
-    - k_i) + o(1), where the weights w_i sum to norm = s (BKU) or
+    As lambda_D -> 0 the ESR in nats is
+    E[1(D > 0) (ln(lambda_D D) - ln(1 + E))] + norm ln(1/lambda_D) + o(1)
+    over the selected destination SNR D (0 where the backhaul is down)
+    and eavesdropping SNR E, where norm = P(D > 0) is s (BKU) or
     1 - (1-s)^N (BKA).  So the slope is norm / ln 2, the same for every
     scheme and every number of eavesdroppers, and the offset is
-    gamma + sum_i w_i k_i / norm.  For TTS the (w_i, k_i) are one pair
-    per term of :meth:`RatioCdfEvaluator.parts`, w_i = c_i and
-    k_i = ln(b_i/lambda_D) - e^{lam_i} Ei(-lam_i), from integrating the
-    term's 1 - F against dx/x; the sum raises :class:`QuadratureError`
-    when its rounding bound eps sum_i |w_i k_i| exceeds 1e-6 of it, as
-    at large N.  For MIN-ES the sum is E[ln(1 + X)] over
-    the selected eavesdropping SNR X (:func:`_min_es_offset`), and for
-    OTS it is one per order n of the selection power form, summed by the
-    single integral of :func:`_ots_offset`; both are valid at any N.
+    E[ln(1 + E)] - E[ln(lambda_D D)] given D > 0.  MIN-ES and TTS pick
+    their link from one side only, so the two means are taken apart
+    (:func:`_decoupled_offset`); for OTS the offset is one per order n of
+    the selection power form, summed by the single integral of
+    :func:`_ots_offset`.  Both hold at any N.
     """
     sc = scenario
     s, n_tx = sc.backhaul_reliability, sc.n_transmitters
     norm = s if spec.knowledge is Knowledge.BKU else 1.0 - (1.0 - s) ** n_tx
     a = 1.0 if spec.knowledge is Knowledge.BKU else s
-    if spec.scheme is Scheme.MIN_ES:
-        return EsrAsymptote(norm / LN2, _EULER + _min_es_offset(n_tx, sc.eave_rates, a))
     if spec.scheme is Scheme.OTS:
         ((_, w, lams, _),) = RatioCdfEvaluator(sc, spec).parts()
         return EsrAsymptote(norm / LN2, _EULER + _ots_offset(n_tx, w, lams, a))
-    terms = [
-        (weight * c) * (math.log(b / sc.dest_rate) - exp_scaled_ei(lam))
-        for weight, coeffs, lams, b in RatioCdfEvaluator(sc, spec).parts()
-        for c, lam in zip(coeffs, lams)
-    ]
-    total = math.fsum(terms)
-    bound = sys.float_info.epsilon * math.fsum(abs(t) for t in terms)
-    if bound > _ROUNDING_SHARE * abs(total):
-        raise QuadratureError(
-            f"ESR line offset of {spec.label} is dominated by rounding: "
-            f"bound {bound:.3g} on {total:.6g}"
-        )
-    return EsrAsymptote(norm / LN2, _EULER + total / norm)
+    return EsrAsymptote(norm / LN2, _decoupled_offset(spec.scheme, n_tx, sc.eave_rates, a))
 
 
 @functools.lru_cache(maxsize=64)
-def _min_es_offset(n_tx: int, rates: tuple, a: float) -> float:
-    """MIN-ES line offset minus gamma, E[ln(1 + X)] over the selected eavesdropping SNR X.
+def _decoupled_offset(scheme: Scheme, n_tx: int, rates: tuple, a: float) -> float:
+    """MIN-ES or TTS line offset, E[ln(1 + E)] - E[ln(lambda_D D)] given D > 0.
 
-    As lambda_D -> 0 the MIN-ES ESR kernel e^{lambda_D} E1(lambda_D (1+x))
-    is ln(1/lambda_D) - gamma - ln(1+x) + o(1); X has mass 1 - (1-a)^N,
-    a = 1 (BKU) or s (BKA), so the offset depends on neither lambda_D
-    nor, for BKU, s.
+    a = 1 (BKU) or s (BKA).  MIN-ES takes the least eavesdropping SNR
+    over the N (BKA: active) links and D is one exponential link, so
+    E[ln(lambda_D D)] = -gamma; TTS takes one link's eavesdropping SNR
+    and D is the (BKA: thinned) best of N exponential links.  The offset
+    depends on neither lambda_D nor, for BKU, s.
     """
-    return a * _min_eave_integral(rates, n_tx, a, np.log1p) / (1.0 - (1.0 - a) ** n_tx)
+    if scheme is Scheme.MIN_ES:
+        return _mean_log1p_least(n_tx, rates, a) + _EULER
+    return _mean_log1p_least(1, rates, 1.0) - _mean_log_max(n_tx, a)
+
+
+def _mean_log1p_least(n: int, rates: tuple, a: float) -> float:
+    """E[ln(1 + X)] over the least X of n eavesdropping SNRs, each link present with probability a.
+
+    Given that a link is present, E[ln(1 + X)] = int_0^inf P(X > t) dv
+    with t = e^v - 1, and head P(X > t) = (1 - a F_1(t))^n - (1-a)^n,
+    head = 1 - (1-a)^n, from one link's CDF F_1.  By Chernoff,
+    P(X > t) <= 2^K e^{-r t / 2} with r the least rate, so the range
+    stops at t = 2 (40 + K ln 2 + ln n) / r.
+    """
+    head = 1.0 - (1.0 - a) ** n
+    t_max = 2.0 * (40.0 + len(rates) * math.log(2.0) + math.log(n)) / min(rates)
+
+    def tail(v):
+        return _thinned_gain(1.0 - hypoexp_cdf(np.expm1(v), rates), n, a) / head
+
+    return _offset_integral(tail, 0.0, math.log1p(t_max))
+
+
+def _mean_log_max(n: int, a: float) -> float:
+    """E[ln M] for the largest M of n unit exponentials, each present with probability a.
+
+    Given that one is present, E[ln M] = int_1^inf P(M > t) / t dt
+    - int_0^1 P(M <= t) / t dt, two integrals of nonnegative parts in
+    u = ln t, with head P(M > t) = 1 - (1 - a e^{-t})^n and
+    head P(M <= t) = (1 - a e^{-t})^n - (1-a)^n, head = 1 - (1-a)^n.
+    As P(M > t) <= n e^{-t} and P(M <= t) <= n t, the ranges
+    u in [0, ln(40 + ln n)] and [-40 - ln n, 0] leave out about e^-40.
+    """
+    head = 1.0 - (1.0 - a) ** n
+
+    def above(u):
+        return _any_of(np.exp(-np.exp(u)), n, a) / head
+
+    def below(u):
+        return _thinned_gain(-np.expm1(-np.exp(u)), n, a) / head
+
+    log_n = math.log(n)
+    return (_offset_integral(above, 0.0, math.log(40.0 + log_n))
+            - _offset_integral(below, -40.0 - log_n, 0.0))
+
+
+def _thinned_gain(q, n: int, a: float):
+    """(1 - a + a q)^n - (1-a)^n on an array q of probabilities.
+
+    The chance that some of n links, each present with probability a,
+    is present and every present one has its event of probability q.
+    Formed by expm1/log1p where the difference cancels.
+    """
+    if a == 1.0:
+        return q**n
+    r = np.minimum(a * q / (1.0 - a), 1.0)
+    # noise weights can give r < -1, whose NaN the caller's check refuses
+    with np.errstate(invalid="ignore"):
+        grown = np.expm1(n * np.log1p(r))
+    return np.where(r < 1.0, (1.0 - a) ** n * grown, (1.0 - a + a * q) ** n - (1.0 - a) ** n)
+
+
+def _offset_integral(f, lo: float, hi: float) -> float:
+    """int_lo^hi f(u) du on the GK15 rule, to 1e-14 relative or 1e-15 absolute.
+
+    Raises :class:`QuadratureError` unless the value is finite and its
+    error estimate at most 1e-10.
+    """
+    val, err = _adaptive_gk15(lambda x: f(lo + x), hi - lo, 1e-15, 1e-14, 1000)
+    if not math.isfinite(val) or err > 1e-10:
+        raise QuadratureError(f"ESR line offset integral did not converge: value={val}, err={err}")
+    return val
 
 
 @functools.lru_cache(maxsize=64)
@@ -221,20 +276,7 @@ def _ots_offset(n_tx: int, w: tuple, lams: tuple, a: float) -> float:
         t = np.exp(lo + u)
         # 1 - e^{-t} T(t) = (1 - e^{-t}) + e^{-t} t sum_k w_k / (lam_k + t)
         miss = -np.expm1(-t) + np.exp(-t) * t * (w_arr / (lam_arr + t[:, None])).sum(axis=1)
-        if a == 1.0:
-            power = miss**n_tx
-        else:
-            # (1 - a + a miss)^N - (1-a)^N, by expm1/log1p where it cancels
-            r = np.minimum(a * miss / (1.0 - a), 1.0)
-            # noise weights can give r < -1, whose NaN the check below refuses
-            with np.errstate(invalid="ignore"):
-                grown = np.expm1(n_tx * np.log1p(r))
-            power = np.where(
-                r < 1.0,
-                (1.0 - a) ** n_tx * grown,
-                (1.0 - a + a * miss) ** n_tx - (1.0 - a) ** n_tx,
-            )
-        return power + head * np.expm1(-t)
+        return _thinned_gain(miss, n_tx, a) + head * np.expm1(-t)
 
     val, err = _adaptive_gk15(g, hi - lo, 1e-15 * head, 1e-14, 1000)
     if not math.isfinite(val) or err > 1e-10 * head:

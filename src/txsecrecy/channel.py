@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -28,17 +27,6 @@ from .scenario import Scenario, check_rate_separation
 def _require_nonneg(x: float) -> None:
     if x < 0:
         raise DomainError(f"SNR values are nonnegative, got {x!r}")
-
-
-def exp_pdf(x: float, rate: float) -> float:
-    _require_nonneg(x)
-    return rate * math.exp(-rate * x)
-
-
-def exp_cdf(x: float, rate: float) -> float:
-    """CDF of an exponential SNR, 1 - e^(-rate*x)."""
-    _require_nonneg(x)
-    return -math.expm1(-rate * x)
 
 
 def hypoexp_weights(rates: Sequence[float]) -> tuple:
@@ -67,14 +55,6 @@ def _hypoexp_weights(rates: tuple) -> tuple:
     return tuple(weights)
 
 
-def hypoexp_pdf(x: float, rates: Sequence[float]) -> float:
-    """Density of a sum of independent exponentials with distinct rates."""
-    _require_nonneg(x)
-    w = hypoexp_weights(rates)
-    val = math.fsum(wk * rk * math.exp(-rk * x) for wk, rk in zip(w, rates))
-    return max(val, 0.0)  # clip roundoff from the alternating sum
-
-
 #: Below this value of x * max(rates), :func:`hypoexp_cdf` sums its Taylor
 #: series instead of forming 1 - S(x), whose alternating weights cancel in
 #: the left tail (off by 9.9e-8 relative at x = 2 for rates 0.25, 0.16,
@@ -87,65 +67,44 @@ _CDF_SERIES_BELOW = 6.0
 _CDF_SERIES_TERMS = 44
 
 
-def hypoexp_cdf(x: float, rates: Sequence[float]) -> float:
-    """CDF of the hypoexponential law, accurate in the left tail.
+def hypoexp_cdf(x, rates: Sequence[float]):
+    """CDF of the hypoexponential law, accurate in the left tail; elementwise on an array x.
 
-    Near zero, F(x) = prod_k r_k * sum_j (-x)^j h_j(r) x^K / (K + j)!,
-    with h_j the complete homogeneous symmetric polynomial of degree j
-    in the K rates.
+    Below x max(rates) = 6, F(x) = prod_k r_k x^K sum_j (-x)^j h_j(r) / (K + j)!,
+    with h_j the complete homogeneous symmetric polynomial of degree j in
+    the K rates, summed in Horner form; above it F = 1 - sum_k w_k e^{-r_k x}.
     """
-    _require_nonneg(x)
-    w = hypoexp_weights(rates)
-    if x * max(rates) < _CDF_SERIES_BELOW:
-        h = [1.0] + [0.0] * (_CDF_SERIES_TERMS - 1)
-        for r in rates:
-            for j in range(1, _CDF_SERIES_TERMS):
-                h[j] += r * h[j - 1]
-        k = len(rates)
-        series = math.fsum(
-            (-x) ** j * hj / math.factorial(k + j) for j, hj in enumerate(h)
-        )
-        return min(max(math.prod(rates) * x**k * series, 0.0), 1.0)
-    sf = math.fsum(wk * math.exp(-rk * x) for wk, rk in zip(w, rates))
-    return min(max(1.0 - sf, 0.0), 1.0)
+    xs = np.asarray(x, dtype=float)
+    _require_nonneg(float(xs.min(initial=0.0)))
+    rates = tuple(rates)
+    out = np.empty(xs.shape)
+    low = xs * max(rates) < _CDF_SERIES_BELOW
+    xl = xs[low]
+    coeffs = _cdf_series(rates)
+    series, neg = coeffs[0], -xl
+    for c in coeffs[1:]:
+        series = series * neg + c
+    out[low] = math.prod(rates) * xl ** len(rates) * series
+    sf = np.exp(-xs[~low][:, None] * np.array(rates)) * np.array(hypoexp_weights(rates))
+    out[~low] = 1.0 - sf.sum(axis=1)
+    out = np.clip(out, 0.0, 1.0)
+    return float(out) if out.ndim == 0 else out
+
+
+@functools.lru_cache(maxsize=256)
+def _cdf_series(rates: tuple) -> tuple:
+    """h_j(r) / (K + j)! of :func:`hypoexp_cdf`'s series, highest degree j first."""
+    h = [1.0] + [0.0] * (_CDF_SERIES_TERMS - 1)
+    for r in rates:
+        for j in range(1, _CDF_SERIES_TERMS):
+            h[j] += r * h[j - 1]
+    return tuple(hj / math.factorial(len(rates) + j) for j, hj in reversed(list(enumerate(h))))
 
 
 def hypoexp_sf(x: float, rates: Sequence[float]) -> float:
     _require_nonneg(x)
     w = hypoexp_weights(rates)
     return math.fsum(wk * math.exp(-rk * x) for wk, rk in zip(w, rates))
-
-
-@dataclass(frozen=True)
-class HypoexpDist:
-    """Sum of independent exponentials with pairwise distinct rates."""
-
-    rates: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "rates", tuple(float(r) for r in self.rates))
-        if any(r <= 0 for r in self.rates):
-            raise ValueError("rates must be positive")
-        check_rate_separation(self.rates)
-
-    def pdf(self, x: float) -> float:
-        return hypoexp_pdf(x, self.rates)
-
-    def cdf(self, x: float) -> float:
-        return hypoexp_cdf(x, self.rates)
-
-    def sf(self, x: float) -> float:
-        return hypoexp_sf(x, self.rates)
-
-    @property
-    def mean(self) -> float:
-        return math.fsum(1.0 / r for r in self.rates)
-
-    def rvs(self, size: int, rng: np.random.Generator) -> np.ndarray:
-        out = np.zeros(size)
-        for r in self.rates:
-            out += rng.exponential(1.0 / r, size)
-        return out
 
 
 def bka_weight(n_tx: int, n: int, s: float) -> float:
@@ -197,27 +156,24 @@ def _min_hypoexp_table(omega: int, rates: tuple) -> tuple:
     return (tuple(coeffs), tuple(lams)), math.fsum(abs(c) for c in coeffs)
 
 
-def min_eave_sel_pdf(x: float, scenario: Scenario) -> float:
-    """Density N f_1(x) S_1(x)^(N-1) of the minimum eavesdropping SNR over N links.
-
-    Formed from the single-link density and survival function, so it
-    needs no multinomial table and holds at any N.
-    """
-    n_tx = scenario.n_transmitters
-    sf = hypoexp_sf(x, scenario.eave_rates)
-    return n_tx * hypoexp_pdf(x, scenario.eave_rates) * sf ** (n_tx - 1)
-
-
-def min_eave_sel_cdf(x: float, scenario: Scenario) -> float:
+def min_eave_sel_cdf(x, scenario: Scenario):
     """CDF 1 - (1 - F_1(x))^N of the minimum eavesdropping SNR over N links.
 
-    Formed from the single-link CDF F_1 as -expm1(N log1p(-F_1)), which
-    keeps its relative accuracy in the left tail.
+    Formed from the single-link CDF F_1 (:func:`hypoexp_cdf`, so also
+    elementwise on an array) as :func:`_any_of`, which keeps its relative
+    accuracy in the left tail.
     """
-    f1 = hypoexp_cdf(x, scenario.eave_rates)
-    if f1 == 1.0:
-        return 1.0
-    return -math.expm1(scenario.n_transmitters * math.log1p(-f1))
+    return _any_of(hypoexp_cdf(x, scenario.eave_rates), scenario.n_transmitters, 1.0)
+
+
+def _any_of(p, n: int, a: float):
+    """1 - (1 - a p)^n: some of n independent events, each of probability a p, occurs.
+
+    Formed as -expm1(n log1p(-a p)), which keeps its relative accuracy
+    as p -> 0; a p = 1 gives 1.  p is a float or an array.
+    """
+    with np.errstate(divide="ignore"):
+        return -np.expm1(n * np.log1p(-a * np.asarray(p)))
 
 
 def min_eave_sel_bka_terms(scenario: Scenario) -> tuple:

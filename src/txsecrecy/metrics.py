@@ -5,22 +5,25 @@ the selected link's ratio (1 + SNR_dest) / (1 + SNR_eave) has a closed
 form built from exponential term tables.  The secrecy outage probability
 is F(2^threshold_rate), the nonzero-secrecy-rate probability is
 1 - F(1), and the ergodic secrecy rate is the integral of (1 - F(x))/x
-over [1, inf) divided by ln 2 -- evaluated in closed form (MIN-ES, TTS)
-or by adaptive quadrature (all schemes, authoritative for OTS).
+over [1, inf) divided by ln 2 -- summed term by term for MIN-ES and TTS
+(:func:`esr_closed_form`) or integrated (:func:`esr_quadrature`, all
+schemes).
 
 Every integral in the library runs on one vectorized adaptive
 Gauss-Kronrod 7/15 rule; its callers raise :class:`QuadratureError`
 rather than return an unconverged value.  Every closed form is taken
 only while its rounding bound is at most 1e-6 of the value (of
 min(F, 1 - F) for SOP and NZSR), and a MIN-ES table only up to 300 terms
-(above that none is built); elsewhere F and the MIN-ES ESR are one
-integral of a kernel against the density of the selected eavesdropping
-SNR, :func:`_min_eave_integral`, at any N.  For TTS and OTS the ESR
-quadrature integrates the closed form's tail sum 1 - F, evaluated on
-numpy arrays of nodes, in log space up to V = ln(1 + (40 + ln N)/lambda_D),
-where 1 - F <= N e^{-lambda_D (x-1)} is below e^-40, and refuses
-(:class:`QuadratureError`) a term table whose worst-case rounding error
-over that range exceeds 1e-6 bits.
+(above that none is built); elsewhere F is one integral of F_D against
+the density of the selected eavesdropping SNR,
+:func:`_min_eave_integral`, at any N, and the ESR is the quadrature.
+MIN-ES picks its link by the eavesdroppers alone and TTS by the
+destination alone, so their selected destination and eavesdropping SNRs
+are independent and the ESR integrand is a product of two nonnegative
+probabilities on numpy arrays of nodes, with no term table.  OTS, whose
+pick couples the two, integrates its closed form's tail sum 1 - F and
+refuses a single-link table whose worst-case rounding error over the
+range exceeds 1e-6 bits.
 """
 
 from __future__ import annotations
@@ -28,15 +31,14 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 
 import numpy as np
 
-from .channel import _min_hypoexp_table, bka_weight, hypoexp_weights
+from .channel import _any_of, _min_hypoexp_table, bka_weight, hypoexp_cdf, hypoexp_weights
 from .errors import QuadratureError, UnsupportedClosedFormError
 from .scenario import Knowledge, Scenario, Scheme, SchemeSpec
-from .specfun import exp_scaled_e1, exp_scaled_ei
+from .specfun import exp_scaled_ei
 
 LN2 = math.log(2.0)
 
@@ -51,13 +53,12 @@ _MAX_TABLE_TERMS = 300
 
 #: A closed form is taken only while its rounding bound eps sum_i |t_i|
 #: over its terms t_i is at most this share of the value: min(F, 1 - F)
-#: for every scheme's SOP and NZSR, the ESR for MIN-ES and TTS, and the
-#: TTS line offset (Higham, Accuracy and Stability of Numerical
-#: Algorithms, 2nd ed., ch. 4).
+#: for every scheme's SOP and NZSR, and the ESR for MIN-ES and TTS
+#: (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 4).
 _ROUNDING_SHARE = 1e-6
 
 #: Upper bound on the points x terms products :meth:`RatioCdfEvaluator.survival`
-#: forms at once; a TTS table at N = 40, K = 6 has 240 terms.
+#: forms at once; a MIN-ES table has up to 300 terms, a TTS one N K.
 _CHUNK_ELEMENTS = 1 << 16
 
 #: Equal pieces of [0, upper] that :func:`_adaptive_gk15` starts from.  A
@@ -102,11 +103,6 @@ def _min_es_table_terms(n_tx: int, k: int, knowledge: Knowledge) -> int:
     if knowledge is Knowledge.BKU:
         return math.comb(n_tx + k - 1, k - 1)
     return math.comb(n_tx + k, k) - 1
-
-
-class EsrMethod(Enum):
-    CLOSED_FORM = "closed_form"
-    QUADRATURE = "quadrature"
 
 
 @dataclass(frozen=True)
@@ -378,21 +374,29 @@ def nzsr(scenario: Scenario, spec: SchemeSpec) -> float:
 def esr_closed_form(scenario: Scenario, spec: SchemeSpec) -> float:
     """Closed-form ergodic secrecy rate for MIN-ES and TTS.
 
-    Each term of 1 - F(x) integrates against 1/x into weight c_i
-    (e(lam_i + b) - e(b)), e(a) = e^a Ei(-a), summed while the rounding
-    bound eps sum_i |weight c_i| (|e(lam_i + b)| + |e(b)|) is at most
-    1e-6 of the sum.  Past it, and for a MIN-ES table of more than 300
-    terms (not built), MIN-ES returns :func:`esr_quadrature`'s integral
-    and TTS raises :class:`QuadratureError`.  OTS has no well-defined
-    closed form here (its published form needs the incomplete gamma at
+    The paper's term sum (:func:`_esr_term_sum`) where it is taken, else
+    :func:`esr_quadrature`'s integral.  OTS has no well-defined closed
+    form here (its published form needs the incomplete gamma at
     nonpositive order and negative argument); use :func:`esr_quadrature`.
     """
     if spec.scheme is Scheme.OTS:
         raise UnsupportedClosedFormError("no closed-form ESR for OTS; use esr_quadrature")
+    esr = _esr_term_sum(scenario, spec)
+    return esr_quadrature(scenario, spec) if esr is None else esr
+
+
+def _esr_term_sum(scenario: Scenario, spec: SchemeSpec) -> float | None:
+    """The MIN-ES or TTS ESR in bits summed term by term, or None where it is not taken.
+
+    Each term of 1 - F(x) integrates against 1/x into weight c_i
+    (e(lam_i + b) - e(b)), e(a) = e^a Ei(-a).  The sum is taken while
+    its rounding bound eps sum_i |weight c_i| (|e(lam_i + b)| + |e(b)|)
+    is at most 1e-6 of it, and for MIN-ES only from a table of at most
+    300 terms (none larger is built).
+    """
     ev = RatioCdfEvaluator(scenario, spec)
-    min_es = spec.scheme is Scheme.MIN_ES
-    if min_es and not ev._expand:
-        return esr_quadrature(scenario, spec)
+    if spec.scheme is Scheme.MIN_ES and not ev._expand:
+        return None
     terms, scale = [], []
     for weight, coeffs, lams, b in ev.parts():
         # b is lambda_D for MIN-ES and the n (or q) multiple of it for TTS,
@@ -404,14 +408,7 @@ def esr_closed_form(scenario: Scenario, spec: SchemeSpec) -> float:
             scale.append(abs(weight * c) * (abs(elb) + abs(eb)))
     esr = math.fsum(terms)
     bound = sys.float_info.epsilon * math.fsum(scale)
-    if bound <= _ROUNDING_SHARE * abs(esr):
-        return esr / LN2
-    if min_es:
-        return esr_quadrature(scenario, spec)
-    raise QuadratureError(
-        f"closed-form ESR of {spec.label} is dominated by rounding: "
-        f"bound {bound / LN2:.3g} bits on {esr / LN2:.6g}"
-    )
+    return esr / LN2 if bound <= _ROUNDING_SHARE * abs(esr) else None
 
 
 def _gk15(f, lo: np.ndarray, hi: np.ndarray) -> tuple:
@@ -496,77 +493,60 @@ def _min_eave_integral(rates: tuple, n: int, a: float, phi, x0: float = 0.0) -> 
 def esr_quadrature(scenario: Scenario, spec: SchemeSpec, epsabs: float = 1e-9) -> float:
     """Ergodic secrecy rate by adaptive quadrature.
 
-    MIN-ES needs no term table at any N: for y >= 1, 1 - F(y) is s times
-    the mean of e^{-lambda_D (y (1+x) - 1)} over the selected eavesdropping
-    SNR x, so :func:`_min_eave_integral` (a = 1 for BKU, s for BKA; no
-    ``epsabs``) takes the kernel e^{lambda_D} E1(lambda_D (1+x)), formed
-    for every lambda_D as e^{-lambda_D x} g(lambda_D (1+x)) with
-    g(z) = e^z E1(z) (:func:`~txsecrecy.specfun.exp_scaled_e1`), so that
-    e^{lambda_D} never overflows.  TTS and
-    OTS integrate 1 - F in log space: the integral of 1 - F(e^v) over v >= 0,
-    divided by ln 2.  The selected destination SNR is at most the best
-    of N exponential links, so 1 - F(x) <= N e^{-lambda_D (x-1)} and the
-    range stops at V = ln(1 + (40 + ln N)/lambda_D), past which the
-    integrand is below e^-40.  The integrand is
-    :meth:`RatioCdfEvaluator.survival`, the closed form evaluated on all
-    nodes of a refinement step at once, with a vectorized globally
-    adaptive Gauss-Kronrod 7/15 rule (targets ``epsabs`` and 1e-10
-    relative, at most 1,000 subintervals).
+    With D the selected destination SNR (0 where the backhaul is down)
+    and E the selected eavesdropping SNR, the ESR in nats is
+    E[(ln(1+D) - ln(1+E))^+] = int_0^inf P(E < t < D) dv, t = e^v - 1.
+    MIN-ES picks its link by the eavesdroppers alone and TTS by the
+    destination alone, so D and E are independent and
+    P(E < t < D) = F_E(t) sf_D(t), a product of nonnegative factors
+    (a = 1 and p = s for BKU, a = s and p = 1 for BKA; F_1 is one
+    link's :func:`~txsecrecy.channel.hypoexp_cdf` and
+    :func:`~txsecrecy.channel._any_of` forms 1 - (1 - a u)^N):
 
-    Raises :class:`QuadratureError` when the closed form's worst-case
-    rounding error over the range, eps sum_i |c_i| V / ln 2, exceeds
-    1e-6 (checked before integrating: the alternating TTS tables of
-    large N), when the error estimate exceeds max(1e-6, 1e-6 |value|),
-    or when the value is not finite.
+    - MIN-ES: F_E = 1 - (1 - a F_1)^N, sf_D = p e^{-lambda_D t};
+    - TTS:    F_E = F_1, sf_D = p (1 - (1 - a e^{-lambda_D t})^N).
+
+    OTS couples D and E in its pick; it integrates 1 - F(e^v) over
+    v >= 0 from :meth:`RatioCdfEvaluator.survival`, its closed form
+    evaluated on arrays of nodes, and refuses (:class:`QuadratureError`)
+    before integrating when that form's worst-case rounding error over
+    the range, eps sum_i |c_i| N s V / ln 2, exceeds 1e-6.  The selected
+    destination SNR is at most the best of N exponential links, so the
+    integrand is at most N e^{-lambda_D t} and the range stops at
+    V = ln(1 + (40 + ln N)/lambda_D), where that is e^-40.  Every node
+    of a refinement step goes to the integrand in one call of the
+    vectorized globally adaptive Gauss-Kronrod 7/15 rule (targets
+    ``epsabs`` and 1e-10 relative, at most 1,000 subintervals).  Raises
+    :class:`QuadratureError` when the error estimate exceeds
+    max(1e-6, 1e-6 |value|) or the value is not finite.
     """
+    sc = scenario
+    n_tx, s, lam_d, rates = sc.n_transmitters, sc.s, sc.dest_rate, sc.eave_rates
+    upper = math.log1p((40.0 + math.log(n_tx)) / lam_d)
+    a, p = (1.0, s) if spec.knowledge is Knowledge.BKU else (s, 1.0)
     if spec.scheme is Scheme.MIN_ES:
-        lam_d, s = scenario.dest_rate, scenario.s
+        def integrand(v):
+            t = np.expm1(v)
+            return _any_of(hypoexp_cdf(t, rates), n_tx, a) * p * np.exp(-lam_d * t)
+    elif spec.scheme is Scheme.TTS:
+        def integrand(v):
+            t = np.expm1(v)
+            return hypoexp_cdf(t, rates) * p * _any_of(np.exp(-lam_d * t), n_tx, a)
+    else:
+        ev = RatioCdfEvaluator(sc, spec)
+        rounding = ev.survival_error_bound() * upper / LN2
+        if rounding > 1e-6:
+            raise QuadratureError(
+                f"ESR integrand of {spec.label} is dominated by rounding: "
+                f"worst-case error {rounding:.3g} bits"
+            )
 
-        def kappa(x):
-            return np.exp(-lam_d * x) * exp_scaled_e1(lam_d * (1.0 + x))
+        def integrand(v):
+            return ev.survival(np.exp(v))
 
-        a = 1.0 if spec.knowledge is Knowledge.BKU else s
-        return s * _min_eave_integral(scenario.eave_rates, scenario.n_transmitters, a, kappa) / LN2
-    ev = RatioCdfEvaluator(scenario, spec)
-    upper = math.log1p((40.0 + math.log(scenario.n_transmitters)) / scenario.dest_rate)
-    rounding = ev.survival_error_bound() * upper / LN2
-    if rounding > 1e-6:
-        raise QuadratureError(
-            f"ESR integrand of {spec.label} is dominated by rounding: "
-            f"worst-case error {rounding:.3g} bits"
-        )
-    val, err = _adaptive_gk15(lambda v: ev.survival(np.exp(v)), upper, epsabs, 1e-10, 1000)
+    val, err = _adaptive_gk15(integrand, upper, epsabs, 1e-10, 1000)
     if not math.isfinite(val) or err > max(1e-6, 1e-6 * abs(val)):
         raise QuadratureError(
             f"ESR quadrature did not converge for {spec.label}: value={val}, err={err}"
         )
     return max(val / LN2, 0.0)
-
-
-@dataclass(frozen=True)
-class SecrecyReport:
-    """Exact NZSR/SOP/ESR for one scenario and scheme."""
-
-    scenario: Scenario
-    spec: SchemeSpec
-    nzsr: float
-    sop: float
-    esr: float
-    esr_method: EsrMethod
-
-
-def secrecy_report(scenario: Scenario, spec: SchemeSpec) -> SecrecyReport:
-    """Evaluate all exact metrics, preferring the closed-form ESR."""
-    ev = RatioCdfEvaluator(scenario, spec)
-    if spec.scheme is Scheme.OTS:
-        esr, method = esr_quadrature(scenario, spec), EsrMethod.QUADRATURE
-    else:
-        esr, method = esr_closed_form(scenario, spec), EsrMethod.CLOSED_FORM
-    return SecrecyReport(
-        scenario=scenario,
-        spec=spec,
-        nzsr=1.0 - ev(1.0),
-        sop=ev(scenario.rho),
-        esr=esr,
-        esr_method=method,
-    )

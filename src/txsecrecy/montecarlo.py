@@ -247,10 +247,3 @@ def estimate_metrics(
 ) -> dict:
     """All three metrics for one spec; see :func:`estimate_many`."""
     return estimate_many(scenario, (spec,), config)[spec]
-
-
-def estimate(
-    scenario: Scenario, spec: SchemeSpec, config: McConfig, metric: Metric
-) -> McEstimate:
-    """Empirical estimate of one secrecy metric with its standard error."""
-    return estimate_metrics(scenario, spec, config)[metric]

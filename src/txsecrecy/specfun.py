@@ -1,12 +1,9 @@
 """The exponential-integral kernel g(a) = e^a E1(a) = -e^a Ei(-a), a > 0.
 
 The closed-form ergodic secrecy rates are sums of terms e^a Ei(-a) with
-``a`` up to the sum of channel rate parameters, and the MIN-ES ESR
-quadrature integrates e^{-lambda_D x} g(lambda_D (1 + x)).  Both read g
-from here: :func:`exp_scaled_ei` for one float, :func:`exp_scaled_e1`
-for an array of integrand nodes, from one set of coefficients, with the
-standard library and numpy only.  g is formed without e^a, so it stays
-finite where e^a overflows.  The three ranges:
+``a`` up to the sum of channel rate parameters; :func:`exp_scaled_ei`
+gives one float of it with the standard library only.  g is formed
+without e^a, so it stays finite where e^a overflows.  The three ranges:
 
 - a <= 1: the series E1(a) = -gamma - ln a - sum_k (-a)^k / (k k!)
   (Abramowitz & Stegun 5.1.11) as Q(a) - ln a, Q of degree 12 in a
@@ -26,8 +23,6 @@ g; what is left is rounding.
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from .errors import DomainError
 
@@ -104,8 +99,6 @@ _FITS = (
     ),
 )
 
-_FIT_TABLE = np.array(_FITS)
-
 #: g from the continued fraction at and above this argument.
 _CF_FROM = 64.0
 
@@ -117,16 +110,16 @@ _CF_DEPTH = 6
 (_Q12, _Q11, _Q10, _Q9, _Q8, _Q7, _Q6, _Q5, _Q4, _Q3, _Q2, _Q1, _Q0) = _SERIES
 
 
-def _horner(coeffs, x):
-    """sum_j coeffs[j] x^(n-j) for a float x, or elementwise with arrays."""
+def _horner(coeffs, x: float) -> float:
+    """sum_j coeffs[j] x^(n-j)."""
     p = coeffs[0]
     for c in coeffs[1:]:
         p = p * x + c
     return p
 
 
-def _e1_scaled_cf(a):
-    """g(a) for a >= 64, a float or an array, by the continued fraction.
+def _e1_scaled_cf(a: float) -> float:
+    """g(a) for a >= 64 by the continued fraction.
 
     e^a E1(a) = 1/(a + 1 - 1^2/(a + 3 - 2^2/(a + 5 - ...))), evaluated
     from depth ``_CF_DEPTH`` back.
@@ -161,21 +154,3 @@ def exp_scaled_ei(a: float) -> float:
         return -_horner(_FITS[e - 1], 4.0 * m - 3.0)
     return -_e1_scaled_cf(a)
 
-
-def exp_scaled_e1(a: np.ndarray) -> np.ndarray:
-    """g(a) = e^a E1(a) elementwise for an array of a > 0.
-
-    The array form of ``-exp_scaled_ei``, from the same coefficients and
-    within 3e-16 of it (numpy's exp and log against math's); an element
-    of inf gives 0, of NaN gives NaN.
-    """
-    a = np.asarray(a, dtype=float)
-    g = np.empty_like(a)
-    low, high = a <= 1.0, a >= _CF_FROM
-    mid = ~(low | high)
-    x = a[low]
-    g[low] = np.exp(x) * (_horner(_SERIES, x) - np.log(x))
-    m, e = np.frexp(a[mid])
-    g[mid] = _horner(_FIT_TABLE[e - 1].T, 4.0 * m - 3.0)
-    g[high] = _e1_scaled_cf(a[high])
-    return g

@@ -62,3 +62,41 @@ def mp_min_table_e1(n, rates, shift, mp):
         return mp.fsum(
             c * mp.exp(lam + shift) * mp.e1(lam + shift) for c, lam in mp_min_table(n, rates, mp)
         )
+
+
+def mp_hypoexp_cdf(rates, mp):
+    """F_1(t) = 1 - sum_k w_k e^(-r_k t), the weights formed in ``mp`` from the double rates."""
+    r = [mp.mpf(v) for v in rates]
+    w = [
+        mp.fprod(r) / (rk * mp.fprod(rj - rk for j, rj in enumerate(r) if j != k))
+        for k, rk in enumerate(r)
+    ]
+    return lambda t: 1 - mp.fsum(wk * mp.exp(-rk * t) for wk, rk in zip(w, r))
+
+
+def mp_decoupled_esr_integrand(sc, spec, mp):
+    """P(E < t < D) at t = e^v - 1 for MIN-ES or TTS, from the factors F_E and sf_D in ``mp``."""
+    f1 = mp_hypoexp_cdf(sc.eave_rates, mp)
+    n, s, lam = sc.n_transmitters, mp.mpf(sc.s), mp.mpf(sc.dest_rate)
+    a, p = (1, s) if spec.knowledge is tx.Knowledge.BKU else (s, 1)
+
+    def integrand(v):
+        t = mp.expm1(v)
+        if spec.scheme is tx.Scheme.MIN_ES:
+            return (1 - (1 - a * f1(t)) ** n) * p * mp.exp(-lam * t)
+        return f1(t) * p * (1 - (1 - a * mp.exp(-lam * t)) ** n)
+
+    return integrand
+
+
+def mp_decoupled_esr(sc, spec, mp):
+    """MIN-ES or TTS ESR in bits: the integral of :func:`mp_decoupled_esr_integrand` over v >= 0.
+
+    The range is the library's, V = ln(1 + (40 + ln N)/lambda_D), split
+    evenly and at t = 2^j, where F_E and sf_D turn.
+    """
+    upper = mp.log1p((40 + mp.log(sc.n_transmitters)) / mp.mpf(sc.dest_rate))
+    turns = [mp.log1p(mp.mpf(2) ** j) for j in range(-12, 40)]
+    points = sorted(set(mp.linspace(0, upper, 17) + [v for v in turns if v < upper]))
+    integrand = mp_decoupled_esr_integrand(sc, spec, mp)
+    return mp.quad(integrand, points, method="gauss-legendre") / mp.log(2)

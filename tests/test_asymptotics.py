@@ -6,10 +6,8 @@ import pytest
 import txsecrecy as tx
 from txsecrecy import ALL_SPECS, Knowledge, Scheme, SchemeSpec, cli
 from txsecrecy.combinatorics import harmonic
-from txsecrecy.metrics import RatioCdfEvaluator
-from txsecrecy.specfun import exp_scaled_ei
 
-from conftest import make_scenario, mp_min_es_parts, mp_min_table, mp_min_table_e1
+from conftest import make_scenario, mp_hypoexp_cdf, mp_min_es_parts, mp_min_table, mp_min_table_e1
 
 LN2 = math.log(2.0)
 
@@ -186,22 +184,39 @@ def test_esr_finite_difference_slope():
             )
 
 
-@pytest.mark.parametrize("kn", list(Knowledge), ids=lambda k: k.name)
-def test_tts_offset_refuses_rounding_dominated_sum(kn):
-    # the binomial weights of the TTS table cancel at large N: unguarded,
-    # the TTS-BKU offset at N = 60 (K = 3, s = 1) was -845.88 for 1.7745
-    spec = SchemeSpec(Scheme.TTS, kn)
-    with pytest.raises(tx.QuadratureError, match="rounding"):
-        tx.esr_asymptote(make_scenario(n=60, k=3, s=1.0, dest_db=30.0), spec)
-    # at N = 10 the guard passes and the sum keeps its bits
-    sc = make_scenario(n=10, k=3, s=1.0, dest_db=30.0)
-    terms = (
-        (weight * c) * (math.log(b / sc.dest_rate) - exp_scaled_ei(lam))
-        for weight, coeffs, lams, b in RatioCdfEvaluator(sc, spec).parts()
-        for c, lam in zip(coeffs, lams)
+def _mp_tts_offset(sc, kn, mp):
+    """E[ln(1 + E_1)] - E[ln M] given M > 0, M the (BKA: thinned) best of N unit exponentials."""
+    n = sc.n_transmitters
+    a = mp.mpf(1) if kn is Knowledge.BKU else mp.mpf(sc.s)
+    head = 1 - (1 - a) ** n
+    f1 = mp_hypoexp_cdf(sc.eave_rates, mp)
+    eave = mp.quad(lambda v: 1 - f1(mp.expm1(v)), [0, 1, 2, 3, 4, 5, 6, 8, 10])
+    above = mp.quad(lambda t: (1 - (1 - a * mp.exp(-t)) ** n) / t, [1, 2, 4, 8, 16, 32, 64, mp.inf])
+    below = mp.quad(
+        lambda t: ((1 - a * mp.exp(-t)) ** n - (1 - a) ** n) / t,
+        [0, mp.mpf(2) ** -20, mp.mpf(2) ** -10, mp.mpf(2) ** -5, 0.25, 0.5, 1],
     )
-    want = tx.asymptotics._EULER + math.fsum(terms)  # norm is 1 at s = 1
-    assert tx.esr_asymptote(sc, spec).offset.hex() == want.hex()
+    return eave - (above - below) / head
+
+
+@pytest.mark.parametrize("kn", list(Knowledge), ids=lambda k: k.name)
+def test_tts_offset_at_n60_matches_mpmath(kn):
+    # the binomial weights of the TTS table cancel at large N: the former
+    # term sum gave -845.88 for 1.7745 at N = 60 (K = 3, s = 1), then
+    # refused; the offset is now two integrals of nonnegative parts
+    mp = pytest.importorskip("mpmath")
+    spec = SchemeSpec(Scheme.TTS, kn)
+    for s in (1.0, 0.3):
+        sc = make_scenario(n=60, k=3, s=s, dest_db=30.0)
+        with mp.workdps(40):
+            want = float(_mp_tts_offset(sc, kn, mp))
+        got = tx.esr_asymptote(sc, spec).offset
+        assert abs(got - want) <= 1e-13 * want, (s, got, want)
+
+
+def test_mean_log_of_one_exponential_is_minus_gamma():
+    # E[ln X] = -gamma for X ~ Exp(1): the MIN-ES destination side
+    assert abs(tx.asymptotics._mean_log_max(1, 1.0) + tx.asymptotics._EULER) <= 1e-14
 
 
 def test_esr_asymptote_offset_db_conversion():
@@ -282,11 +297,28 @@ def test_ots_offset_is_computed_once_per_table(monkeypatch, tmp_path):
     # s = 1) and a = 0.5 (BKA at s = 0.5)
     gk15, calls = tx.asymptotics._adaptive_gk15, []
     monkeypatch.setattr(
-        tx.asymptotics, "_adaptive_gk15", lambda *args: calls.append(args) or gk15(*args)
+        tx.asymptotics, "_adaptive_gk15",
+        lambda *args: calls.append(args[0].__qualname__) or gk15(*args),
     )
     tx.asymptotics._ots_offset.cache_clear()
     assert cli.run_preset("fig7", tmp_path / "fig7.csv", None, "csv") == 0
-    assert len(calls) == 2
+    assert calls.count("_ots_offset.<locals>.g") == 2
+
+
+def test_decoupled_offsets_are_computed_once_per_table(monkeypatch, tmp_path):
+    # fig7's 124 MIN-ES and 124 TTS ESR asymptote cells need one offset
+    # per scheme for a = 1 and a = 0.5: one integral each for MIN-ES and
+    # three for TTS (E[ln(1 + E)], and E[ln M] above and below M = 1)
+    gk15, calls = tx.asymptotics._adaptive_gk15, []
+    monkeypatch.setattr(
+        tx.asymptotics, "_adaptive_gk15",
+        lambda *args: calls.append(args[0].__qualname__) or gk15(*args),
+    )
+    tx.asymptotics._ots_offset.cache_clear()
+    tx.asymptotics._decoupled_offset.cache_clear()
+    assert cli.run_preset("fig7", tmp_path / "fig7.csv", None, "csv") == 0
+    assert len(calls) == 2 + 2 * 1 + 2 * 3
+    assert tx.asymptotics._decoupled_offset.cache_info().misses == 4
 
 
 def test_ots_offset_refuses_an_unconverged_integral(monkeypatch):
@@ -386,12 +418,11 @@ def test_min_es_offset_matches_mpmath_term_table(n, k, kn):
 
 def test_min_es_offset_is_computed_once_per_table(monkeypatch):
     # like the OTS offset, the MIN-ES one depends on neither lambda_D nor, for BKU, s
-    calls = []
-    real = tx.asymptotics._min_eave_integral
+    gk15, calls = tx.asymptotics._adaptive_gk15, []
     monkeypatch.setattr(
-        tx.asymptotics, "_min_eave_integral", lambda *args: calls.append(args) or real(*args)
+        tx.asymptotics, "_adaptive_gk15", lambda *args: calls.append(args) or gk15(*args)
     )
-    tx.asymptotics._min_es_offset.cache_clear()
+    tx.asymptotics._decoupled_offset.cache_clear()
     for s in (0.5, 0.9):
         for db in (0.0, 30.0, 60.0):
             sc = make_scenario(n=5, k=3, s=s, dest_db=db)

@@ -9,18 +9,13 @@ from scipy.integrate import quad
 import txsecrecy as tx
 from txsecrecy import channel
 from txsecrecy.channel import (
-    HypoexpDist,
-    exp_cdf,
-    exp_pdf,
     hypoexp_cdf,
-    hypoexp_pdf,
     hypoexp_sf,
     hypoexp_weights,
     max_dest_sel_bka_cdf,
     max_dest_sel_cdf,
     min_eave_sel_bka_terms,
     min_eave_sel_cdf,
-    min_eave_sel_pdf,
     min_hypoexp_terms,
 )
 from txsecrecy.errors import DomainError, RateSeparationError
@@ -30,48 +25,43 @@ from conftest import make_scenario
 RATES = (1.0, 2.0, 5.0)
 
 
-def test_exp_pdf_cdf():
-    assert exp_pdf(0.0, 2.0) == 2.0
-    assert exp_cdf(0.0, 2.0) == 0.0
-    assert exp_cdf(1.0, 2.0) == pytest.approx(1.0 - math.exp(-2.0), rel=1e-15)
-    with pytest.raises(DomainError):
-        exp_cdf(-0.1, 1.0)
-
-
 def test_hypoexp_weights_sum_to_one():
     w = hypoexp_weights(RATES)
     assert math.fsum(w) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_hypoexp_k2_closed_form():
-    # sum of Exp(1) and Exp(2): pdf(x) = 2(e^-x - e^-2x)
-    assert hypoexp_pdf(1.0, (1.0, 2.0)) == pytest.approx(
-        2.0 * (math.exp(-1.0) - math.exp(-2.0)), rel=1e-14
-    )
+    # sum of Exp(1) and Exp(2): F(x) = 1 - 2 e^-x + e^-2x on both routes
+    for x in (1.0, 7.0):
+        assert hypoexp_cdf(x, (1.0, 2.0)) == pytest.approx(
+            1.0 - 2.0 * math.exp(-x) + math.exp(-2.0 * x), rel=1e-14
+        )
 
 
 def test_hypoexp_k1_reduces_to_exponential():
     for x in (0.0, 0.3, 2.0, 10.0):
-        assert abs(hypoexp_pdf(x, (1.7,)) - exp_pdf(x, 1.7)) < 1e-12
-        assert abs(hypoexp_cdf(x, (1.7,)) - exp_cdf(x, 1.7)) < 1e-12
+        assert abs(hypoexp_cdf(x, (1.7,)) + math.expm1(-1.7 * x)) < 1e-12
+        assert abs(hypoexp_sf(x, (1.7,)) - math.exp(-1.7 * x)) < 1e-12
 
 
-def test_hypoexp_pdf_matches_convolution_quadrature():
-    # K=2 convolution oracle
+def test_hypoexp_cdf_matches_convolution_quadrature():
+    # K=2 convolution oracle: P(X1 + X2 <= x) = int_0^x F2(x - t) f1(t) dt
     r1, r2 = 0.7, 1.9
 
     def conv(x):
         val, _ = quad(
-            lambda t: r1 * math.exp(-r1 * t) * r2 * math.exp(-r2 * (x - t)), 0.0, x
+            lambda t: r1 * math.exp(-r1 * t) * -math.expm1(-r2 * (x - t)), 0.0, x
         )
         return val
 
-    for x in (0.2, 1.0, 3.0):
-        assert hypoexp_pdf(x, (r1, r2)) == pytest.approx(conv(x), rel=1e-9)
+    for x in (0.2, 1.0, 3.0, 12.0):
+        assert hypoexp_cdf(x, (r1, r2)) == pytest.approx(conv(x), rel=1e-9)
 
 
 def test_hypoexp_cdf_integrates_pdf():
-    val, _ = quad(lambda t: hypoexp_pdf(t, RATES), 0.0, 2.0)
+    w = hypoexp_weights(RATES)
+    pdf = lambda t: math.fsum(wk * rk * math.exp(-rk * t) for wk, rk in zip(w, RATES))
+    val, _ = quad(pdf, 0.0, 2.0)
     assert hypoexp_cdf(2.0, RATES) == pytest.approx(val, rel=1e-9)
     assert hypoexp_sf(2.0, RATES) == pytest.approx(1.0 - val, rel=1e-9)
 
@@ -97,19 +87,11 @@ def test_hypoexp_cdf_near_zero_has_no_cancellation_noise():
     assert below <= above == pytest.approx(below, rel=1e-10)
 
 
-def test_hypoexp_dist_mean_and_rvs():
-    dist = HypoexpDist(RATES)
-    assert dist.mean == pytest.approx(1.0 + 0.5 + 0.2, rel=1e-14)
-    rng = np.random.default_rng(0)
-    draws = dist.rvs(200_000, rng)
-    assert draws.mean() == pytest.approx(dist.mean, rel=0.01)
-
-
 def test_hypoexp_duplicate_rates_rejected():
     with pytest.raises(RateSeparationError):
         hypoexp_weights((1.0, 1.0))
     with pytest.raises(RateSeparationError):
-        HypoexpDist((2.0, 2.0 + 1e-9))
+        hypoexp_cdf(1.0, (2.0, 2.0 + 1e-9))
 
 
 def test_hypoexp_weights_are_shared_per_rate_tuple():
@@ -210,12 +192,6 @@ def test_min_eave_sel_cdf_matches_power_form():
         assert min_eave_sel_cdf(x, sc) == pytest.approx(direct, abs=1e-12)
 
 
-def test_min_eave_sel_pdf_normalizes():
-    sc = make_scenario(n=3, k=3)
-    val, _ = quad(lambda t: min_eave_sel_pdf(t, sc), 0.0, math.inf, limit=200)
-    assert val == pytest.approx(1.0, rel=1e-8)
-
-
 def _bka_min_cdf(x, sc):
     """Atom (1-s)^N (no active backhaul) plus the continuous part of the BKA minimum."""
     coeffs, lams = min_eave_sel_bka_terms(sc)
@@ -255,14 +231,14 @@ def test_min_eave_sel_bka_monte_carlo():
 def test_max_dest_sel_cdf_is_power_of_exponential():
     sc = make_scenario(n=5)
     for x in (0.0, 5.0, 50.0):
-        direct = exp_cdf(x, sc.dest_rate) ** 5
+        direct = (-math.expm1(-sc.dest_rate * x)) ** 5
         assert max_dest_sel_cdf(x, sc) == pytest.approx(direct, abs=1e-12)
 
 
 def test_max_dest_sel_bka_cdf_mixture_power():
     sc = make_scenario(n=3, s=0.7)
     for x in (0.0, 5.0, 50.0):
-        direct = (0.3 + 0.7 * exp_cdf(x, sc.dest_rate)) ** 3
+        direct = (0.3 - 0.7 * math.expm1(-sc.dest_rate * x)) ** 3
         assert max_dest_sel_bka_cdf(x, sc) == pytest.approx(direct, abs=1e-12)
 
 
@@ -320,22 +296,19 @@ def test_min_eave_sel_cdf_left_tail_matches_mpmath(n, k):
             _assert_rel(min_eave_sel_cdf(x, sc), want)
 
 
-@pytest.mark.parametrize(
-    "n, k, xs", [(5, 3, (1, 10, 100)), (20, 3, (1, 10, 100)), (25, 2, (1, 10, 100)), (12, 6, (10, 100))]
-)
-def test_min_eave_sel_pdf_matches_mpmath(n, k, xs):
-    # N f_1 S_1^(N-1), which needs no multinomial table; the former
-    # table sum returned 0.1131 for 9.030e-4 at N=12, K=6, x=10.  There
-    # the single-link density's alternating sum costs the most digits
-    # (1.1e-12 relative).
-    mp = pytest.importorskip("mpmath")
-    sc = make_scenario(n=n, k=k)
-    with mp.workdps(60):
-        for x in xs:
-            terms = _mp_hypoexp_terms(x, sc.eave_rates, mp)
-            pdf = mp.fsum(wk * rk * ek for wk, rk, ek in terms)
-            sf = mp.fsum(wk * ek for wk, _, ek in terms)
-            _assert_rel(min_eave_sel_pdf(x, sc), n * pdf * sf ** (n - 1), rel=2e-12)
+def test_cdf_array_forms_match_the_float_forms():
+    # the ESR and line-offset integrands call both on arrays of nodes
+    sc = make_scenario(n=12, k=6)
+    xs = np.array(TAIL_XS + (1e3, 1e9))
+    for cdf, arg in ((hypoexp_cdf, sc.eave_rates), (min_eave_sel_cdf, sc)):
+        got = cdf(xs, arg)
+        assert got.shape == xs.shape
+        assert got.tolist() == [cdf(x, arg) for x in xs.tolist()]
+    # F_1 = 1 gives 1, with no divide warning from log1p(-1)
+    assert hypoexp_cdf(1e9, sc.eave_rates) == 1.0
+    assert min_eave_sel_cdf(np.array([1e9]), sc).tolist() == [1.0]
+    with pytest.raises(DomainError):
+        hypoexp_cdf(np.array([1.0, -1e-300]), sc.eave_rates)
 
 
 @pytest.mark.parametrize("s", [0.2, 0.9, 1.0])

@@ -13,7 +13,7 @@ from txsecrecy import ALL_SPECS, Knowledge, Scheme, SchemeSpec, channel, cli
 from txsecrecy.metrics import LN2, RatioCdfEvaluator
 from txsecrecy.specfun import exp_scaled_ei
 
-from conftest import make_scenario, mp_min_es_parts, mp_min_table, mp_min_table_e1
+from conftest import make_scenario, mp_decoupled_esr, mp_min_es_parts, mp_min_table, mp_min_table_e1
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label)
@@ -291,14 +291,21 @@ def test_survival_chunks_give_the_unchunked_values(monkeypatch):
     assert np.array_equal(ev.survival(xs), whole)
 
 
-def test_esr_quadrature_refuses_rounding_dominated_table(monkeypatch):
-    # TTS at N = 40: the binomial weights C(40, n) make sum |c_i| so large
-    # that the integrand is rounding noise; the call must raise up front
-    sc = make_scenario(n=40, k=3, s=0.9, dest_db=30.0)
-    monkeypatch.setattr(RatioCdfEvaluator, "survival", lambda self, xs: pytest.fail("integrated"))
-    for kn in Knowledge:
-        with pytest.raises(tx.QuadratureError, match="rounding"):
-            tx.esr_quadrature(sc, SchemeSpec(Scheme.TTS, kn))
+@pytest.mark.parametrize("kn", list(Knowledge), ids=lambda k: k.name)
+@pytest.mark.parametrize("n", (40, 60))
+def test_tts_esr_at_large_n_matches_mpmath(n, kn):
+    # the binomial weights C(N, q) leave the TTS term sum dominated by
+    # rounding, so esr_closed_form returns the integral of F_E sf_D, which
+    # needs no table; every route refused here before
+    mp = pytest.importorskip("mpmath")
+    sc = make_scenario(n=n, k=3, s=0.9, dest_db=30.0)
+    spec = SchemeSpec(Scheme.TTS, kn)
+    with mp.workdps(40):
+        want = float(mp_decoupled_esr(sc, spec, mp))
+    assert tx.metrics._esr_term_sum(sc, spec) is None
+    got = tx.esr_quadrature(sc, spec)
+    assert abs(got - want) <= 1e-10 * want, (got, want)
+    assert tx.esr_closed_form(sc, spec) == got
 
 
 def test_gk15_rule_is_exact_on_polynomials():
@@ -397,20 +404,6 @@ def test_jittered_equal_rates_refuse_sop_and_nzsr(spec, k):
     for metric in (tx.sop, tx.nzsr):
         with pytest.raises(tx.QuadratureError):
             metric(sc, spec)
-
-
-def test_secrecy_report_consistency():
-    sc = make_scenario()
-    for spec in ALL_SPECS:
-        rep = tx.secrecy_report(sc, spec)
-        assert rep.sop == pytest.approx(tx.sop(sc, spec), abs=1e-14)
-        assert rep.nzsr == pytest.approx(tx.nzsr(sc, spec), abs=1e-14)
-        expected = (
-            tx.EsrMethod.QUADRATURE
-            if spec.scheme is Scheme.OTS
-            else tx.EsrMethod.CLOSED_FORM
-        )
-        assert rep.esr_method is expected
 
 
 def _concatenated_table(sc, spec):
@@ -705,6 +698,9 @@ def _mp_min_es_esr(sc, kn, mp):
         (21, 1, 20.0),  # refused as N > 20 before any table was built
         (5, 3, -15.0),  # BKU: the term sum is 7.6e-6 off, past a bound of eps sum |t_i|
         (5, 1, -30.0),  # e^{lambda_D} overflows in the integral's kernel
+        (5, 6, 0.0),  # the eavesdropper-density integral refused these three
+        (5, 6, -10.0),
+        (5, 3, -30.0),
     ],
 )
 def test_min_es_esr_matches_mpmath_term_table(n, k, db, kn):
@@ -727,12 +723,3 @@ def test_min_es_esr_routes_agree_on_fig5_cells(variant):
             spec = SchemeSpec(Scheme.MIN_ES, kn)
             cf, q = tx.esr_closed_form(sc, spec), tx.esr_quadrature(sc, spec)
             assert abs(cf - q) <= 1e-10 * q, (db, kn, cf, q)
-
-
-def test_tts_esr_closed_form_refuses_rounding_dominated_sum():
-    # TTS at N = 40: its binomial weights leave the term sum with about
-    # three digits, and TTS has no integral route to fall back on
-    sc = make_scenario(n=40, k=3, s=0.9, dest_db=30.0)
-    for kn in Knowledge:
-        with pytest.raises(tx.QuadratureError, match="rounding"):
-            tx.esr_closed_form(sc, SchemeSpec(Scheme.TTS, kn))

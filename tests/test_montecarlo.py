@@ -88,16 +88,6 @@ def test_schemes_share_fades_under_one_seed():
         assert ots >= mes
 
 
-def test_estimate_single_metric():
-    sc = make_scenario()
-    cfg = McConfig(trials=20_000, seed=2)
-    spec = SchemeSpec(Scheme.MIN_ES, Knowledge.BKU)
-    single = tx.estimate(sc, spec, cfg, Metric.SOP)
-    assert single == estimate_metrics(sc, spec, cfg)[Metric.SOP]
-    assert single.trials == 20_000
-    assert single.seed == 2
-
-
 def test_stderr_scales_with_trials():
     sc = make_scenario()
     spec = SchemeSpec(Scheme.TTS, Knowledge.BKU)

@@ -5,10 +5,9 @@ applies the same Gauss-Kronrod rule on it to the integrand evaluated
 in mpmath, and compares that rule's distance from the exact integral
 (the truncation error the estimate stands for) with the claimed error.
 The double value also differs from the rule by the rounding of its
-integrand, which the estimate does not cover: the ESR quadrature's own
-worst-case rounding bound for the ESR, and 1e-12 of the value (some
-hundred times the largest seen) for the other integrals, which state
-no bound.
+integrand, which the estimate does not cover: the OTS ESR quadrature's
+own worst-case rounding bound, and 1e-12 of the value (some hundred
+times the largest seen) for the other integrals, which state no bound.
 """
 
 import math
@@ -19,7 +18,7 @@ import pytest
 import txsecrecy as tx
 from txsecrecy import Knowledge, Scheme, SchemeSpec, asymptotics, metrics
 
-from conftest import make_scenario
+from conftest import make_scenario, mp_decoupled_esr, mp_decoupled_esr_integrand
 
 mp = pytest.importorskip("mpmath")
 
@@ -114,30 +113,6 @@ def test_two_scale_definitional_error_estimate(monkeypatch):
         _check(value, claimed, _mp_rule(integrand, leaves), exact, 1e-12 * value)
 
 
-def _mp_tts_survival(ev):
-    """1 - F(x) of TTS over its table, and its integral over x in [1, X] against dx/x."""
-    terms = [
-        (mp.mpf(weight) * mp.mpf(c), mp.mpf(lam), mp.mpf(b))
-        for weight, coeffs, lams, b in ev.parts()
-        for c, lam in zip(coeffs, lams)
-    ]
-
-    def survival(x):
-        return mp.fsum(c * lam * mp.exp(-b * (x - 1)) / (b * x + lam) for c, lam, b in terms)
-
-    def integral(big_x):
-        # lam / ((b x + lam) x) = 1/x - b / (b x + lam)
-        return mp.fsum(
-            c * mp.exp(b) * (
-                mp.e1(b) - mp.e1(b * big_x)
-                - mp.exp(lam) * (mp.e1(b + lam) - mp.e1(b * big_x + lam))
-            )
-            for c, lam, b in terms
-        )
-
-    return survival, integral
-
-
 def _mp_ots_survival(ev):
     sc = ev.scenario
     w, lam = _mp_eave_pdf(sc)
@@ -153,7 +128,7 @@ def _mp_ots_survival(ev):
 
 
 @pytest.mark.parametrize("kn", list(Knowledge), ids=lambda k: k.name)
-@pytest.mark.parametrize("scheme", [Scheme.TTS, Scheme.OTS], ids=lambda s: s.name)
+@pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.name)
 @pytest.mark.parametrize(
     "n, k, s, db", [(5, 3, 0.9, 20.0), (4, 6, 0.5, 0.0), (8, 3, 0.474, 18.7)]
 )
@@ -162,16 +137,21 @@ def test_esr_quadrature_error_estimate(monkeypatch, scheme, kn, n, k, s, db):
     spec = SchemeSpec(scheme, kn)
     value, claimed, leaves = _recorded_integral(monkeypatch, lambda: tx.esr_quadrature(sc, spec))
     upper = math.log1p((40.0 + math.log(n)) / sc.dest_rate)
-    ev = metrics.RatioCdfEvaluator(sc, spec)
     with mp.workdps(40):
-        if scheme is Scheme.TTS:
-            survival, integral = _mp_tts_survival(ev)
-            exact = integral(mp.exp(upper))
-        else:
+        if scheme is Scheme.OTS:
+            ev = metrics.RatioCdfEvaluator(sc, spec)
             survival = _mp_ots_survival(ev)
-            exact = mp.quad(lambda v: survival(mp.exp(v)), mp.linspace(0, upper, 17))
-        rule = _mp_rule(lambda v: survival(mp.exp(v)), leaves)
-        _check(value, claimed, rule, exact, ev.survival_error_bound() * upper)
+
+            def integrand(v):
+                return survival(mp.exp(v))
+
+            exact = mp.quad(integrand, mp.linspace(0, upper, 17))
+            rounding = ev.survival_error_bound() * upper
+        else:
+            integrand = mp_decoupled_esr_integrand(sc, spec, mp)
+            exact = mp_decoupled_esr(sc, spec, mp) * mp.log(2)
+            rounding = 1e-12 * value
+        _check(value, claimed, _mp_rule(integrand, leaves), exact, rounding)
 
 
 @pytest.mark.parametrize(
