@@ -193,21 +193,3 @@ def min_eave_sel_bka_terms(scenario: Scenario) -> tuple:
         coeffs.extend(p_n * c for c in cs)
         lams.extend(ls)
     return tuple(coeffs), tuple(lams)
-
-
-def max_dest_sel_cdf(x: float, scenario: Scenario) -> float:
-    """CDF (1 - e^(-lambda_D x))^N of the max destination SNR over N links."""
-    _require_nonneg(x)
-    return (-math.expm1(-scenario.dest_rate * x)) ** scenario.n_transmitters
-
-
-def max_dest_sel_bka_cdf(x: float, scenario: Scenario) -> float:
-    """CDF (1 - s e^(-lambda_D x))^N of the max destination SNR over the active set.
-
-    A transmitter whose backhaul is down contributes SNR 0.  The base is
-    formed as (1 - s) + s (1 - e^(-lambda_D x)), a sum of nonnegative
-    parts, so the power keeps its relative accuracy as x -> 0 at any s.
-    """
-    _require_nonneg(x)
-    s = scenario.backhaul_reliability
-    return ((1.0 - s) - s * math.expm1(-scenario.dest_rate * x)) ** scenario.n_transmitters

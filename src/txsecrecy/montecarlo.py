@@ -15,15 +15,20 @@ channel realizations (paired comparisons are exact).
 (scheme, knowledge) case on it; :func:`estimate_metrics` is its
 one-case form and gives the same bits.
 
-A batch is scored in chunks of :data:`_CHUNK_ROWS` trials: each chunk
-forms the ratio (1 + gamma_D) / (1 + gamma_E) once and picks the link
-of every case with one argmax/argmin per scheme, writing the rates into
-one (cases, batch) array.  The counts and sums are then taken over whole
-batch rows, so the estimates do not depend on the chunk size.  A batch
-therefore peaks at about batch_size * N * 17 bytes of fades and backhaul
-states plus 8 bytes per trial and case of rates (about 55 MB for N = 10,
-six cases and the default 250,000 trials), with the chunk temporaries a
-few MB on top.
+One :func:`estimate_many` call allocates one workspace, sized by its
+largest batch (``min(batch_size, trials)``), reuses it for every batch
+and chunk, and frees it on return.  A batch is drawn into the
+workspace and scored in chunks of at most :data:`_CHUNK_ROWS` trials
+and at most an eighth of the batch.  Each chunk forms the ratio
+(1 + gamma_D) / (1 + gamma_E) once, picks each scheme's link once (by
+folding the columns) and writes the rates into one (cases, batch)
+array.  BKA copies the BKU rates and recomputes them only on the rows
+whose BKU pick is down.  The counts and sums are then taken over whole
+batch rows, so the estimates do not depend on the chunk size.  The
+workspace holds batch * N * 17 bytes of fades and backhaul states,
+8 bytes per trial and case of rates, and about chunk * (17 N + 42)
+bytes of chunk arrays: for N = 10, six cases and the default 250,000
+trials, 58.0 MB at the tracemalloc peak.
 
 The loop runs on one thread.  Each batch is already a few large numpy
 calls, and a thread pool would split the work across the cores that the
@@ -34,6 +39,7 @@ tools that follow the calling thread would no longer see all of it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -58,6 +64,10 @@ class McConfig:
     batch_size: int = 250_000
 
     def __post_init__(self):
+        for name in ("trials", "seed", "batch_size"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.trials < MIN_TRIALS:
             raise ValueError(f"trials must be >= {MIN_TRIALS}")
         if self.batch_size < 1:
@@ -81,116 +91,201 @@ def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
 
 #: Trials of a batch scored at a time (and drawn at a time, for the later
 #: eavesdropper fades and the backhaul uniforms).  16,384 rows of N = 10
-#: doubles is 1.3 MB per chunk array, so the per-chunk temporaries stay
-#: in cache instead of being fresh batch-sized arrays.
+#: doubles is 1.3 MB per chunk array, so the chunk arrays stay in cache.
+#: A chunk is also at most an eighth of the batch, so that for small
+#: batches the chunk arrays add little to the batch arrays.
 _CHUNK_ROWS = 16_384
 
 
-def _row_chunks(size: int):
-    for start in range(0, size, _CHUNK_ROWS):
-        yield slice(start, min(start + _CHUNK_ROWS, size))
+def _row_chunks(size: int, rows: int):
+    for start in range(0, size, rows):
+        yield slice(start, min(start + rows, size))
 
 
-def _draw_fades(scenario: Scenario, rng: np.random.Generator, size: int):
+class _Workspace:
+    """Every array of one :func:`estimate_many` call.
+
+    ``rows`` is the largest batch and ``cases`` the number of rate rows.
+    A shorter batch, and each chunk, uses the leading rows of each array.
+    """
+
+    def __init__(self, rows: int, n_tx: int, cases: int):
+        self.chunk_rows = chunk = min(_CHUNK_ROWS, -(-rows // 8))
+        self.gamma_d = np.empty((rows, n_tx))
+        self.gamma_e = np.empty((rows, n_tx))
+        self.active = np.empty((rows, n_tx), dtype=bool)
+        self.rates = np.empty((cases, rows))
+        self.ratio = np.empty((chunk, n_tx))
+        self.scratch = np.empty((chunk, n_tx))
+        self.down = np.empty((chunk, n_tx), dtype=bool)
+        self.best = np.empty(chunk)
+        self.won = np.empty(chunk, dtype=bool)
+        self.column = np.empty(chunk, dtype=np.intp)
+        self.step = np.empty(chunk, dtype=np.intp)
+        self.offsets = np.arange(0, chunk * n_tx, n_tx)
+        self.flat = np.empty(chunk, dtype=np.intp)
+        self.hit = np.empty(chunk, dtype=bool)
+
+
+def _draw_fades(scenario: Scenario, rng: np.random.Generator, size: int,
+                work: _Workspace):
     """Fades and backhaul states for ``size`` trials, in a fixed draw order.
 
     The destination fades come first, then each eavesdropper's fades,
-    then the backhaul uniforms, each as one (size, N) stream.  The
-    destination and first eavesdropper fades fill their arrays directly;
-    the other eavesdroppers' fades and the uniforms pass through one
-    reused row-chunk buffer.  Consecutive row slices consume the stream
-    exactly as one fill does, and ``exponential(scale)`` is ``scale *
+    then the backhaul uniforms, each as one (size, N) stream, written
+    into the leading rows of ``work``'s batch arrays.  The destination
+    and first eavesdropper fades fill their arrays directly; the other
+    eavesdroppers' fades and the uniforms pass through the chunk
+    scratch.  Consecutive row slices consume the stream exactly as one
+    fill does, and ``exponential(scale)`` is ``scale *
     standard_exponential()``, so the values are those of whole-array
-    draws summed from zero.
+    draws summed from zero.  Returns (gamma_d, gamma_e, active) views.
     """
-    shape = (size, scenario.n_transmitters)
-    gamma_d = rng.standard_exponential(shape)
+    gamma_d = work.gamma_d[:size]
+    gamma_e = work.gamma_e[:size]
+    active = work.active[:size]
+    rng.standard_exponential(out=gamma_d)
     gamma_d *= 1.0 / scenario.dest_rate
-    gamma_e = np.empty(shape)
-    buf = np.empty((min(size, _CHUNK_ROWS), shape[1]))
     first, *rest = scenario.eave_rates
     rng.standard_exponential(out=gamma_e)
     gamma_e *= 1.0 / first
     for lam in rest:
-        for sl in _row_chunks(size):
-            chunk = buf[: sl.stop - sl.start]
+        for sl in _row_chunks(size, work.chunk_rows):
+            chunk = work.scratch[: sl.stop - sl.start]
             rng.standard_exponential(out=chunk)
             chunk *= 1.0 / lam
             gamma_e[sl] += chunk
-    active = np.empty(shape, dtype=bool)
-    for sl in _row_chunks(size):
-        chunk = buf[: sl.stop - sl.start]
+    for sl in _row_chunks(size, work.chunk_rows):
+        chunk = work.scratch[: sl.stop - sl.start]
         rng.random(out=chunk)
         np.less(chunk, scenario.backhaul_reliability, out=active[sl])
     return gamma_d, gamma_e, active
 
 
-def _secrecy_rates(scheme: Scheme, ratio, gamma_d, gamma_e, active, out: dict) -> None:
+#: (strictly better, fold) of the two selection criteria.
+_LEAST = (np.less, np.minimum)
+_GREATEST = (np.greater, np.maximum)
+
+
+def _secrecy_rates(scheme: Scheme, ratio, gamma_d, gamma_e, active, out: dict,
+                   work: _Workspace) -> None:
     """Per-trial achieved secrecy rates of one selection rule, into ``out``.
 
     ``ratio`` is (1 + gamma_d) / (1 + gamma_e) of the same rows, shared
     by every rule.  ``out`` maps each requested :class:`Knowledge` to
-    the 1-D array that receives its rates.  Ties in the selection break
-    toward the lowest transmitter index (argmin/argmax first
-    occurrence).  The BKU pick is the first best link overall, so where
-    it is active it is also the BKA pick; only the other rows are
-    re-picked among their active links.  A trial delivers when the
-    picked link is active (under BKA, a row with no active link picks
-    an inactive one).
+    the 1-D array that receives its rates; ``work`` lends the chunk
+    arrays.  Ties in the selection break toward the lowest transmitter
+    index.  The BKU pick is the first best link overall, so where it is
+    active it is also the BKA pick: BKA copies the BKU rates and
+    recomputes only the other rows, re-picked among their active links.
+    A trial delivers when the picked link is active (under BKA, a row
+    with no active link picks an inactive one).
     """
     if scheme is Scheme.MIN_ES:
-        criterion, pick, fill = gamma_e, np.argmin, np.inf
+        criterion, rule, fill = gamma_e, _LEAST, np.inf
     elif scheme is Scheme.TTS:
-        criterion, pick, fill = gamma_d, np.argmax, -np.inf
+        criterion, rule, fill = gamma_d, _GREATEST, -np.inf
     else:
-        criterion, pick, fill = ratio, np.argmax, -np.inf
+        criterion, rule, fill = ratio, _GREATEST, -np.inf
 
-    n_tx = criterion.shape[1]
-    flat = pick(criterion, axis=1)
-    flat += np.arange(0, flat.size * n_tx, n_tx)
-    delivered = active.take(flat)
-    for knowledge in (Knowledge.BKU, Knowledge.BKA):
-        rates = out.get(knowledge)
-        if rates is None:
-            continue
-        if knowledge is Knowledge.BKA:
-            missed = np.flatnonzero(~delivered)
-            masked = np.where(active[missed], criterion[missed], fill)
-            flat[missed] = pick(masked, axis=1) + missed * n_tx
-            delivered[missed] = active.take(flat[missed])
-        np.log2(ratio.take(flat), out=rates)
-        np.maximum(rates, 0.0, out=rates)
-        rates[~delivered] = 0.0
+    # take(mode="clip") writes into out= without a buffered copy.  Every
+    # index is in range as long as the chunk fits the workspace; a bad
+    # index would be clamped, not raised, so the == tests against the
+    # whole-batch reference in tests/test_montecarlo.py guard the indices
+    rows, n_tx = criterion.shape
+    assert rows <= work.chunk_rows
+    flat = np.add(work.offsets[:rows], _first_best(criterion, rule, work),
+                  out=work.flat[:rows])
+    delivered = np.take(active, flat, out=work.hit[:rows], mode="clip")
+    bka = out.get(Knowledge.BKA)
+    rates = out.get(Knowledge.BKU, bka)
+    _rates_at(ratio, flat, delivered, rates)
+    if bka is None:
+        return
+    if bka is not rates:
+        np.copyto(bka, rates)
+    missed = np.flatnonzero(np.logical_not(delivered, out=delivered))
+    m = missed.size
+    down = np.take(active, missed, axis=0, out=work.down[:m], mode="clip")
+    np.logical_not(down, out=down)
+    masked = np.take(criterion, missed, axis=0, out=work.scratch[:m], mode="clip")
+    np.copyto(masked, fill, where=down)
+    flat = np.multiply(missed, n_tx, out=work.flat[:m])
+    flat += _first_best(masked, rule, work)
+    delivered = np.take(active, flat, out=work.hit[:m], mode="clip")
+    repicked = work.scratch.reshape(-1)[:m]  # the masked criterion is spent
+    _rates_at(ratio, flat, delivered, repicked)
+    bka[missed] = repicked
 
 
-def _tally(rates: np.ndarray, threshold: float) -> tuple:
-    """(outages, positive rates, rate sum, rate sum of squares) of one batch."""
+def _first_best(criterion, rule, work: _Workspace) -> np.ndarray:
+    """Column of each row's first best entry, as argmin/argmax along rows.
+
+    ``rule`` is :data:`_LEAST` or :data:`_GREATEST`.  The columns are
+    folded left to right and a column wins a row only when strictly
+    better, so ties go to the first column, as in argmin/argmax (the
+    criteria hold no NaN).  The fold makes a few calls per column over
+    the whole chunk, where argmin/argmax along rows of a few entries
+    pays a call per row.
+    """
+    better, fold = rule
+    rows, n_tx = criterion.shape
+    best, won = work.best[:rows], work.won[:rows]
+    column, step = work.column[:rows], work.step[:rows]
+    np.copyto(best, criterion[:, 0])
+    column.fill(0)
+    for j in range(1, n_tx):
+        better(criterion[:, j], best, out=won)
+        fold(best, criterion[:, j], out=best)
+        np.multiply(won, j, out=step)
+        np.maximum(column, step, out=column)
+    return column
+
+
+def _rates_at(ratio, flat, delivered, out) -> None:
+    """max(log2 ratio, 0) at the flat picks, 0 where not ``delivered``, into ``out``."""
+    np.take(ratio, flat, out=out, mode="clip")
+    np.log2(out, out=out)
+    np.maximum(out, 0.0, out=out)
+    out *= delivered  # finite rates >= 0, so this writes +0.0 where not delivered
+
+
+def _tally(rates: np.ndarray, threshold: float, work: _Workspace) -> tuple:
+    """(outages, positive rates, rate sum, rate sum of squares) of one batch row.
+
+    The comparisons and squares go into the batch's fade and backhaul
+    arrays, which are spent once the batch is scored.
+    """
+    size = rates.size
+    flags = work.active.reshape(-1)[:size]
+    square = work.gamma_d.reshape(-1)[:size]
     return (
-        int(np.count_nonzero(rates <= threshold)),
-        int(np.count_nonzero(rates > 0.0)),
+        int(np.count_nonzero(np.less_equal(rates, threshold, out=flags))),
+        int(np.count_nonzero(np.greater(rates, 0.0, out=flags))),
         float(rates.sum()),
-        float(np.square(rates).sum()),
+        float(np.square(rates, out=square).sum()),
     )
 
 
 def _batch_counts(scenario: Scenario, by_scheme: dict, rng: np.random.Generator,
-                  size: int) -> list:
+                  size: int, work: _Workspace) -> list:
     """:func:`_tally` of each case on one freshly drawn batch, in row order.
 
-    ``by_scheme`` maps each scheme to {knowledge: case row}.  The
-    batch's arrays are freed on return, before the next batch is drawn.
+    ``by_scheme`` maps each scheme to {knowledge: case row}.
     """
-    gamma_d, gamma_e, active = _draw_fades(scenario, rng, size)
-    rates = np.empty((sum(map(len, by_scheme.values())), size))
-    for sl in _row_chunks(size):
-        ratio = gamma_d[sl] + 1.0
-        ratio /= gamma_e[sl] + 1.0
+    gamma_d, gamma_e, active = _draw_fades(scenario, rng, size, work)
+    rates = work.rates[:, :size]
+    for sl in _row_chunks(size, work.chunk_rows):
+        n = sl.stop - sl.start
+        ratio = np.add(gamma_d[sl], 1.0, out=work.ratio[:n])
+        ratio /= np.add(gamma_e[sl], 1.0, out=work.scratch[:n])
         for scheme, rows in by_scheme.items():
             _secrecy_rates(scheme, ratio, gamma_d[sl], gamma_e[sl], active[sl],
-                           {knowledge: rates[row, sl] for knowledge, row in rows.items()})
+                           {knowledge: rates[row, sl] for knowledge, row in rows.items()},
+                           work)
     # tallied over whole batch rows, so numpy's pairwise sums (and the
     # estimates) do not depend on the chunk size
-    return [_tally(row, scenario.threshold_rate) for row in rates]
+    return [_tally(row, scenario.threshold_rate, work) for row in rates]
 
 
 def _estimates(n_outage: int, n_positive: int, rate_sum: float, rate_sumsq: float,
@@ -229,12 +324,14 @@ def estimate_many(scenario: Scenario, specs, config: McConfig) -> dict:
     by_scheme = {}
     for row, spec in enumerate(totals):
         by_scheme.setdefault(spec.scheme, {})[spec.knowledge] = row
+    work = _Workspace(min(config.batch_size, config.trials), scenario.n_transmitters,
+                      len(totals))
     done = 0
     batch_index = 0
     while done < config.trials:
         b = min(config.batch_size, config.trials - done)
         rng = _batch_rng(config.seed, batch_index)
-        batch = _batch_counts(scenario, by_scheme, rng, b)
+        batch = _batch_counts(scenario, by_scheme, rng, b, work)
         for spec, counts in zip(totals, batch):
             totals[spec] = tuple(t + c for t, c in zip(totals[spec], counts))
         done += b

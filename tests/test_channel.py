@@ -12,8 +12,6 @@ from txsecrecy.channel import (
     hypoexp_cdf,
     hypoexp_sf,
     hypoexp_weights,
-    max_dest_sel_bka_cdf,
-    max_dest_sel_cdf,
     min_eave_sel_bka_terms,
     min_eave_sel_cdf,
     min_hypoexp_terms,
@@ -228,28 +226,6 @@ def test_min_eave_sel_bka_monte_carlo():
     assert atom + emp == pytest.approx(cdf, abs=0.003)
 
 
-def test_max_dest_sel_cdf_is_power_of_exponential():
-    sc = make_scenario(n=5)
-    for x in (0.0, 5.0, 50.0):
-        direct = (-math.expm1(-sc.dest_rate * x)) ** 5
-        assert max_dest_sel_cdf(x, sc) == pytest.approx(direct, abs=1e-12)
-
-
-def test_max_dest_sel_bka_cdf_mixture_power():
-    sc = make_scenario(n=3, s=0.7)
-    for x in (0.0, 5.0, 50.0):
-        direct = (0.3 - 0.7 * math.expm1(-sc.dest_rate * x)) ** 3
-        assert max_dest_sel_bka_cdf(x, sc) == pytest.approx(direct, abs=1e-12)
-
-
-def test_max_dest_sel_bka_reduces_at_s1():
-    sc = make_scenario(n=4, s=1.0)
-    for x in (0.5, 5.0):
-        assert max_dest_sel_bka_cdf(x, sc) == pytest.approx(
-            max_dest_sel_cdf(x, sc), abs=1e-12
-        )
-
-
 # Six eavesdroppers at about 6, 8, ..., 16 dB: closely spaced rates whose
 # alternating survival weights cancel in 1 - S(x) in the left tail.
 SIX_RATES = (0.25, 0.16, 0.1, 0.063, 0.04, 0.025)
@@ -309,16 +285,3 @@ def test_cdf_array_forms_match_the_float_forms():
     assert min_eave_sel_cdf(np.array([1e9]), sc).tolist() == [1.0]
     with pytest.raises(DomainError):
         hypoexp_cdf(np.array([1.0, -1e-300]), sc.eave_rates)
-
-
-@pytest.mark.parametrize("s", [0.2, 0.9, 1.0])
-def test_max_dest_sel_cdfs_left_tail_match_mpmath(s):
-    # at N=4, 30 dB and x=1e-6 the CDF is 1e-36 (1 - S returned 7.8e-16)
-    mp = pytest.importorskip("mpmath")
-    sc = make_scenario(n=4, s=s, dest_db=30.0)
-    with mp.workdps(80):
-        lam = mp.mpf(sc.dest_rate)
-        for x in TAIL_XS + (1e3, 1e4):
-            tail = mp.exp(-lam * mp.mpf(x))
-            _assert_rel(max_dest_sel_cdf(x, sc), (1 - tail) ** 4)
-            _assert_rel(max_dest_sel_bka_cdf(x, sc), (1 - mp.mpf(s) * tail) ** 4)

@@ -8,12 +8,17 @@ from txsecrecy import ALL_SPECS, Knowledge, McConfig, Metric, Scheme, SchemeSpec
 from txsecrecy import montecarlo
 from txsecrecy.montecarlo import _CHUNK_ROWS, _batch_rng, estimate_many, estimate_metrics
 
-from conftest import make_scenario
+from conftest import EAVE_DB_K1, EAVE_DB_K3, make_scenario
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
         McConfig(trials=100)
+    for field in ("trials", "seed", "batch_size"):
+        for bad in (20_000.0, True, "20000"):
+            with pytest.raises(ValueError, match=field):
+                McConfig(**{field: bad})
+    assert McConfig(trials=np.int64(20_000), seed=np.uint64(2**63)).trials == 20_000
     with pytest.raises(ValueError):
         McConfig(seed=-1)
     with pytest.raises(ValueError):
@@ -172,9 +177,9 @@ def test_fades_are_drawn_once_per_batch(specs, monkeypatch):
     calls = []
     draw = montecarlo._draw_fades
 
-    def counting(scenario, rng, size):
+    def counting(scenario, rng, size, work):
         calls.append(size)
-        return draw(scenario, rng, size)
+        return draw(scenario, rng, size, work)
 
     monkeypatch.setattr(montecarlo, "_draw_fades", counting)
     estimate_many(make_scenario(n=3, k=2), specs, _UNEVEN)
@@ -197,13 +202,22 @@ _ACROSS_CHUNKS = McConfig(trials=2 * (2 * _CHUNK_ROWS + 123) + 7_001, seed=5,
 _BKA_ONLY = tuple(s for s in ALL_SPECS if s.knowledge is Knowledge.BKA)
 
 
+# The mc_verify shapes: at N=2, s=0.5 BKA re-picks half the rows, at
+# N=10, s=0.9 about a tenth.  N=13 folds more columns than any of them.
+_N2K1 = tx.scenario_from_db(2, 1, 0.5, 10.0, EAVE_DB_K1, threshold_rate=0.0)
+_N10K3 = tx.scenario_from_db(10, 3, 0.9, 30.0, EAVE_DB_K3, threshold_rate=0.0)
+_N13K3 = tx.scenario_from_db(13, 3, 0.7, 20.0, EAVE_DB_K3)
+
+
 @pytest.mark.parametrize(
-    "specs",
-    [ALL_SPECS, ALL_SPECS[::-1], _BKA_ONLY, ALL_SPECS[1:2], ALL_SPECS[4:5]],
-    ids=["all", "reversed", "bka", "min_es_bka", "ots_bku"],
+    "specs, sc",
+    [(ALL_SPECS, None), (ALL_SPECS[::-1], None), (_BKA_ONLY, None), (ALL_SPECS[1:2], None),
+     (ALL_SPECS[4:5], None), (ALL_SPECS, _N2K1), (ALL_SPECS, _N10K3), (ALL_SPECS, _N13K3)],
+    ids=["all", "reversed", "bka", "min_es_bka", "ots_bku", "n2k1_s0.5", "n10k3_s0.9",
+         "n13k3_s0.7"],
 )
-def test_chunked_scoring_matches_whole_batch_reference(specs):
-    sc = make_scenario(n=5, k=3, s=0.6)
+def test_chunked_scoring_matches_whole_batch_reference(specs, sc):
+    sc = sc or make_scenario(n=5, k=3, s=0.6)
     many = estimate_many(sc, specs, _ACROSS_CHUNKS)
     assert list(many) == list(specs)
     for spec in specs:
@@ -214,7 +228,8 @@ def test_chunked_scoring_matches_whole_batch_reference(specs):
 @pytest.mark.parametrize("k", [1, 3])
 def test_chunked_draws_equal_whole_array_draws(size, k):
     sc = make_scenario(n=4, k=k, s=0.7)
-    got = montecarlo._draw_fades(sc, _batch_rng(3, 1), size)
+    work = montecarlo._Workspace(size, sc.n_transmitters, 1)
+    got = montecarlo._draw_fades(sc, _batch_rng(3, 1), size, work)
     want = _reference_fades(sc, _batch_rng(3, 1), size)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and g.shape == w.shape
@@ -226,7 +241,10 @@ def _pick(scheme, gamma_d, gamma_e, active):
                                 ((gamma_d, float), (gamma_e, float), (active, bool)))
     ratio = (1.0 + gamma_d) / (1.0 + gamma_e)
     out = {kn: np.full(gamma_d.shape[0], np.nan) for kn in Knowledge}
-    montecarlo._secrecy_rates(scheme, ratio, gamma_d, gamma_e, active, out)
+    work = montecarlo._Workspace(*gamma_d.shape, len(out))
+    for sl in montecarlo._row_chunks(gamma_d.shape[0], work.chunk_rows):
+        montecarlo._secrecy_rates(scheme, ratio[sl], gamma_d[sl], gamma_e[sl], active[sl],
+                                  {kn: rates[sl] for kn, rates in out.items()}, work)
     for kn, rates in out.items():
         ref = _reference_rates(SchemeSpec(scheme, kn), ratio, gamma_d, gamma_e, active)
         assert np.array_equal(rates, ref)
@@ -292,3 +310,19 @@ def test_batch_memory_peak_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 3.25 * cfg.batch_size * sc.n_transmitters * 8
+
+
+def test_small_run_sizes_its_arrays_by_trials():
+    # 10,000 trials with the default 250,000-trial batch_size: the batch
+    # arrays are sized by the trials and the chunk arrays by an eighth of
+    # them, so the peak stays near the 10,000 trials' own fades
+    sc = make_scenario(n=10, k=3, s=0.9, dest_db=30.0, rth=0.0)
+    cfg = McConfig(trials=10_000, seed=1)
+    estimate_many(sc, ALL_SPECS, cfg)
+    tracemalloc.start()
+    try:
+        estimate_many(sc, ALL_SPECS, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.25 * cfg.trials * sc.n_transmitters * 8

@@ -31,7 +31,7 @@ BENCH_NAMES = (
     ("txsecrecy.asymptotics", "esr_asymptote", ("scenario", "spec")),
     ("txsecrecy.asymptotics", "esr_high_snr_ots", ("scenario", "spec")),
     ("txsecrecy.montecarlo", "estimate_metrics", None),
-    ("txsecrecy.montecarlo", "_draw_fades", ("scenario", "rng", "size")),
+    ("txsecrecy.montecarlo", "_draw_fades", ("scenario", "rng", "size", "work")),
     ("txsecrecy.montecarlo", "_secrecy_rates", None),
     ("txsecrecy.cli", "main", None),
     ("txsecrecy.cli", "find_sop_crossover", None),
