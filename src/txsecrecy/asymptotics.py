@@ -10,7 +10,7 @@ eavesdroppers; the power offset is scheme specific.  For MIN-ES and TTS,
 which pick their link from one side only, it is E[ln(1 + E)] over the
 selected eavesdropping SNR less E[ln(lambda_D D)] over the selected
 destination SNR, each an integral of nonnegative probabilities; OTS
-integrates the Laplace transform of its single-link table.  Each is
+integrates the Laplace transform of one link's eavesdropping SNR.  Each is
 computed once per (N, eavesdroppers, a) and holds at any N.
 """
 
@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _any_of, hypoexp_cdf
+from .channel import _any_of, _log_laplace, hypoexp_cdf
 from .errors import InvalidRegimeError, QuadratureError, UnsupportedClosedFormError
-from .metrics import LN2, RatioCdfEvaluator, _adaptive_gk15, _min_eave_integral, sop
+from .metrics import LN2, _adaptive_gk15, _min_eave_integral, sop
 from .scenario import Knowledge, Scenario, Scheme, SchemeSpec
 
 _EULER = 0.5772156649015329
@@ -150,15 +150,15 @@ def esr_asymptote(scenario: Scenario, spec: SchemeSpec) -> EsrAsymptote:
     their link from one side only, so the two means are taken apart
     (:func:`_decoupled_offset`); for OTS the offset is one per order n of
     the selection power form, summed by the single integral of
-    :func:`_ots_offset`.  Both hold at any N.
+    :func:`_ots_offset` over the Laplace transform of one link's
+    eavesdropping SNR, with no term table or weights.  Both hold at any N.
     """
     sc = scenario
     s, n_tx = sc.backhaul_reliability, sc.n_transmitters
     norm = s if spec.knowledge is Knowledge.BKU else 1.0 - (1.0 - s) ** n_tx
     a = 1.0 if spec.knowledge is Knowledge.BKU else s
     if spec.scheme is Scheme.OTS:
-        ((_, w, lams, _),) = RatioCdfEvaluator(sc, spec).parts()
-        return EsrAsymptote(norm / LN2, _EULER + _ots_offset(n_tx, w, lams, a))
+        return EsrAsymptote(norm / LN2, _EULER + _ots_offset(n_tx, sc.eave_rates, a))
     return EsrAsymptote(norm / LN2, _decoupled_offset(spec.scheme, n_tx, sc.eave_rates, a))
 
 
@@ -228,9 +228,7 @@ def _thinned_gain(q, n: int, a: float):
     if a == 1.0:
         return q**n
     r = np.minimum(a * q / (1.0 - a), 1.0)
-    # noise weights can give r < -1, whose NaN the caller's check refuses
-    with np.errstate(invalid="ignore"):
-        grown = np.expm1(n * np.log1p(r))
+    grown = np.expm1(n * np.log1p(r))
     return np.where(r < 1.0, (1.0 - a) ** n * grown, (1.0 - a + a * q) ** n - (1.0 - a) ** n)
 
 
@@ -247,35 +245,35 @@ def _offset_integral(f, lo: float, hi: float) -> float:
 
 
 @functools.lru_cache(maxsize=64)
-def _ots_offset(n_tx: int, w: tuple, lams: tuple, a: float) -> float:
+def _ots_offset(n_tx: int, rates: tuple, a: float) -> float:
     """OTS line offset minus gamma, sum_n w_n k_n / norm, as one integral.
 
     Order n of the selection power form has weight w_n = C(N,n)
     (-1)^{n+1} s (BKU) or s^n (BKA) and, by Frullani, constant
     k_n = int_0^inf (e^{-t} - (e^{-t} T(t))^n) / t dt, where
-    T(t) = sum_k w_k lam_k / (lam_k + t) is the Laplace transform of the
-    single-link table (w, lams).  The binomial sum over n folds into
+    T(t) = prod_k r_k / (r_k + t) is the Laplace transform of one link's
+    eavesdropping SNR (:func:`~txsecrecy.channel._log_laplace`, rates
+    r_k).  The binomial sum over n folds into
 
         int_0^inf g(t) / t dt / head,
         g(t) = (1 - a e^{-t} T)^N - (1-a)^N - head (1 - e^{-t}),
 
     with a = 1 (BKU) or s (BKA) and head = 1 - (1-a)^N, so it depends on
-    neither lambda_D nor, for BKU, s.  1 - e^{-t} T is formed from
-    nonnegative parts and g is integrated in u = ln t by the ESR's GK15
-    rule; as |g| <= t head (1 + N (1 + E[SE])) and |g| <= N head e^{-t},
-    the range t in [e^-40 / (1 + N (1 + E[SE])), 40 + ln(1 + N)] leaves
-    out less than e^-40 head.  Raises :class:`QuadratureError` if the
-    value is not finite or its error estimate exceeds 1e-10 head.
+    neither lambda_D nor, for BKU, s.  1 - e^{-t} T = -expm1(-t + ln T)
+    reads no weights, so it keeps its relative accuracy at any rate
+    spacing, and g is integrated in u = ln t by the ESR's GK15 rule; as
+    |g| <= t head (1 + N (1 + E[SE])) and |g| <= N head e^{-t}, the range
+    t in [e^-40 / (1 + N (1 + E[SE])), 40 + ln(1 + N)] leaves out less
+    than e^-40 head.  Raises :class:`QuadratureError` if the value is not
+    finite or its error estimate exceeds 1e-10 head.
     """
     head = 1.0 - (1.0 - a) ** n_tx
-    w_arr, lam_arr = np.array(w), np.array(lams)
-    lo = -40.0 - math.log1p(n_tx * (1.0 + math.fsum(1.0 / lk for lk in lams)))
+    lo = -40.0 - math.log1p(n_tx * (1.0 + math.fsum(1.0 / rk for rk in rates)))
     hi = math.log(40.0 + math.log1p(n_tx))
 
     def g(u):
         t = np.exp(lo + u)
-        # 1 - e^{-t} T(t) = (1 - e^{-t}) + e^{-t} t sum_k w_k / (lam_k + t)
-        miss = -np.expm1(-t) + np.exp(-t) * t * (w_arr / (lam_arr + t[:, None])).sum(axis=1)
+        miss = -np.expm1(-t + _log_laplace(t, rates))
         return _thinned_gain(miss, n_tx, a) + head * np.expm1(-t)
 
     val, err = _adaptive_gk15(g, hi - lo, 1e-15 * head, 1e-14, 1000)

@@ -102,9 +102,21 @@ def _cdf_series(rates: tuple) -> tuple:
 
 
 def hypoexp_sf(x: float, rates: Sequence[float]) -> float:
+    """Survival function sum_k w_k e^(-rate_k x) of the hypoexponential law at a float x."""
     _require_nonneg(x)
     w = hypoexp_weights(rates)
     return math.fsum(wk * math.exp(-rk * x) for wk, rk in zip(w, rates))
+
+
+def _log_laplace(theta, rates: Sequence[float]):
+    """log E[e^(-theta X)] = -sum_k log1p(theta / rate_k) of the hypoexponential law.
+
+    The Laplace transform prod_k rate_k / (rate_k + theta) of one link's
+    MRC eavesdropping SNR, a product of factors in (0, 1] for theta >= 0:
+    it reads no weights, so it keeps its relative accuracy at any rate
+    spacing.  theta is a float or an array, taken elementwise.
+    """
+    return -np.log1p(np.divide.outer(theta, rates)).sum(axis=-1)
 
 
 def bka_weight(n_tx: int, n: int, s: float) -> float:
@@ -154,16 +166,6 @@ def _min_hypoexp_table(omega: int, rates: tuple) -> tuple:
         coeffs.append(c)
         lams.append(math.fsum(ik * rk for ik, rk in zip(comp, rates)))
     return (tuple(coeffs), tuple(lams)), math.fsum(abs(c) for c in coeffs)
-
-
-def min_eave_sel_cdf(x, scenario: Scenario):
-    """CDF 1 - (1 - F_1(x))^N of the minimum eavesdropping SNR over N links.
-
-    Formed from the single-link CDF F_1 (:func:`hypoexp_cdf`, so also
-    elementwise on an array) as :func:`_any_of`, which keeps its relative
-    accuracy in the left tail.
-    """
-    return _any_of(hypoexp_cdf(x, scenario.eave_rates), scenario.n_transmitters, 1.0)
 
 
 def _any_of(p, n: int, a: float):

@@ -1,4 +1,4 @@
-"""Composition enumeration, multinomials, harmonics.
+"""Composition enumeration and multinomial coefficients.
 
 The multinomial expansions of the order-statistic distributions iterate
 over all integer compositions of a whole number into K nonnegative
@@ -43,10 +43,3 @@ def multinomial(n: int, parts: Sequence[int]) -> int:
     for p in parts:
         out //= math.factorial(p)
     return out
-
-
-def harmonic(n: int) -> float:
-    """n-th harmonic number, with H_0 = 0."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return math.fsum(1.0 / j for j in range(1, n + 1))

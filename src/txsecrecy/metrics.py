@@ -2,28 +2,30 @@
 
 For every selection scheme and backhaul-knowledge case the CDF F(y) of
 the selected link's ratio (1 + SNR_dest) / (1 + SNR_eave) has a closed
-form built from exponential term tables.  The secrecy outage probability
-is F(2^threshold_rate), the nonzero-secrecy-rate probability is
-1 - F(1), and the ergodic secrecy rate is the integral of (1 - F(x))/x
-over [1, inf) divided by ln 2 -- summed term by term for MIN-ES and TTS
-(:func:`esr_closed_form`) or integrated (:func:`esr_quadrature`, all
-schemes).
+form: from exponential term tables for MIN-ES and TTS, and from the
+Laplace transform of one link's eavesdropping SNR for OTS.  The secrecy
+outage probability is F(2^threshold_rate), the nonzero-secrecy-rate
+probability is 1 - F(1), and the ergodic secrecy rate is the integral of
+(1 - F(x))/x over [1, inf) divided by ln 2 -- summed term by term for
+MIN-ES and TTS (:func:`esr_closed_form`) or integrated
+(:func:`esr_quadrature`, all schemes).
 
 Every integral in the library runs on one vectorized adaptive
 Gauss-Kronrod 7/15 rule; its callers raise :class:`QuadratureError`
-rather than return an unconverged value.  Every closed form is taken
-only while its rounding bound is at most 1e-6 of the value (of
-min(F, 1 - F) for SOP and NZSR), and a MIN-ES table only up to 300 terms
-(above that none is built); elsewhere F is one integral of F_D against
+rather than return an unconverged value.  Every MIN-ES and TTS closed
+form is taken only while its rounding bound is at most 1e-6 of the value
+(of min(F, 1 - F) for SOP and NZSR), and a MIN-ES table only up to 300
+terms (above that none is built); elsewhere F is one integral of F_D against
 the density of the selected eavesdropping SNR,
 :func:`_min_eave_integral`, at any N, and the ESR is the quadrature.
 MIN-ES picks its link by the eavesdroppers alone and TTS by the
 destination alone, so their selected destination and eavesdropping SNRs
 are independent and the ESR integrand is a product of two nonnegative
-probabilities on numpy arrays of nodes, with no term table.  OTS, whose
-pick couples the two, integrates its closed form's tail sum 1 - F and
-refuses a single-link table whose worst-case rounding error over the
-range exceeds 1e-6 bits.
+probabilities on numpy arrays of nodes, with no term table.  OTS needs
+neither a table nor a bound: every metric reads F only at y >= 1, where
+one link's tail is e^{-lambda_D (y-1)} times the Laplace transform of
+its eavesdropping SNR at lambda_D y, a product of factors in (0, 1]
+that reads no hypoexponential weights.
 """
 
 from __future__ import annotations
@@ -35,7 +37,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel import _any_of, _min_hypoexp_table, bka_weight, hypoexp_cdf, hypoexp_weights
+from .channel import (
+    _any_of,
+    _log_laplace,
+    _min_hypoexp_table,
+    bka_weight,
+    hypoexp_cdf,
+    hypoexp_sf,
+    hypoexp_weights,
+)
 from .errors import QuadratureError, UnsupportedClosedFormError
 from .scenario import Knowledge, Scenario, Scheme, SchemeSpec
 from .specfun import exp_scaled_ei
@@ -56,10 +66,6 @@ _MAX_TABLE_TERMS = 300
 #: for every scheme's SOP and NZSR, and the ESR for MIN-ES and TTS
 #: (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 4).
 _ROUNDING_SHARE = 1e-6
-
-#: Upper bound on the points x terms products :meth:`RatioCdfEvaluator.survival`
-#: forms at once; a MIN-ES table has up to 300 terms, a TTS one N K.
-_CHUNK_ELEMENTS = 1 << 16
 
 #: Equal pieces of [0, upper] that :func:`_adaptive_gk15` starts from.  A
 #: bisection step's cost is mostly per-call numpy overhead, not nodes, so
@@ -109,7 +115,7 @@ def _min_es_table_terms(n_tx: int, k: int, knowledge: Knowledge) -> int:
 class RatioCdfEvaluator:
     """Evaluates F(y) of the post-selection SNR ratio for one scenario+scheme.
 
-    Every scheme reads one term table: a short tuple of parts
+    MIN-ES and TTS read one term table: a short tuple of parts
     (weight, coeffs, lams, b), where every term of a part has
     c_i = weight * coeffs[i], rate lam_i = lams[i] and the same
     destination rate multiple b.  With x0 = max(0, 1/y - 1), each term
@@ -123,12 +129,15 @@ class RatioCdfEvaluator:
       tables :func:`~txsecrecy.channel.min_hypoexp_terms` caches per
       (n, eavesdropper rates), shared, never copied;
     - TTS: F = head - sum_i c_i J_i over the binomial parts of the best
-      destination tail, one per order q = 1..N, head = P(SE >= x0);
-    - OTS: the single link's g = head - sum_i c_i J_i from its one part
-      (1, hypoexponential weights, eavesdropper rates, lambda_D), and
-      F = (1-s) + s g^N (BKU) or ((1-s) head + s g)^N (BKA).
+      destination tail, one per order q = 1..N, head = P(SE >= x0).
 
     s and lambda_D enter only as the scalar weight and b of each part.
+    OTS has no table.  At y >= 1 one link's CDF is
+    g = 1 - e^{-lambda_D (y-1)} L(lambda_D y), with L the Laplace
+    transform of its eavesdropping SNR
+    (:func:`~txsecrecy.channel._log_laplace`), and F = (1-s) + s g^N
+    (BKU) or (1 - s + s g)^N (BKA); below y = 1, which only
+    :func:`ratio_cdf` reaches, F is :meth:`_definitional`.
     Evaluation is a pure function of y and safe for concurrent use.
     """
 
@@ -145,21 +154,22 @@ class RatioCdfEvaluator:
             object.__setattr__(self, "_expand", terms <= _MAX_TABLE_TERMS)
 
     def parts(self) -> tuple:
-        """The (weight, coeffs, lams, b) parts of the term table (all schemes).
+        """The (weight, coeffs, lams, b) parts of the MIN-ES or TTS term table.
 
-        Built on first request, at any table size.
+        Built on first request, at any table size.  OTS has no table and
+        raises :class:`UnsupportedClosedFormError`.
         """
+        if self.spec.scheme is Scheme.OTS:
+            raise UnsupportedClosedFormError("OTS has no term table")
         return self._table[0]
 
     @cached_property
     def _table(self) -> tuple:
-        """(parts, rounding bound) of the term table.
+        """(parts, rounding bound) of the MIN-ES or TTS term table.
 
         The bound on the closed form's rounding is eps sum_i |weight c_i|
         for MIN-ES and eps (sum_k |w_k| + sum_i |weight c_i|) for TTS,
-        whose head sum_k w_k e^{-lam_k x0} is alternating too.  For OTS it
-        is eps 2 sum_k |w_k| on the single-link value, whose head and tail
-        each read the weights once.
+        whose head sum_k w_k e^{-lam_k x0} is alternating too.
         """
         sc, spec = self.scenario, self.spec
         n_tx, s, lam_d, lam_e = sc.n_transmitters, sc.s, sc.dest_rate, sc.eave_rates
@@ -176,92 +186,31 @@ class RatioCdfEvaluator:
                 parts.append((weight, coeffs, lams, lam_d))
                 abs_sum += weight * table_abs_sum
             parts = tuple(parts)
-        elif spec.scheme is Scheme.OTS:
-            parts = ((1.0, self._hypo_w, lam_e, lam_d),)
-            abs_sum = 2.0 * sum(map(abs, self._hypo_w))
         else:
             # the best destination tail is s (1 - (1 - e^{-u})^N) (BKU) or
             # 1 - (1 - s e^{-u})^N (BKA): pref sum_q C(N,q) (-1)^{q+1} a^q
             # e^{-q u}, so the dead-backhaul mass of TTS sits in the
             # destination mixture, not in a separate atom
             pref, a = (s, 1.0) if spec.knowledge is Knowledge.BKU else (1.0, s)
+            w = hypoexp_weights(lam_e)
             parts = tuple(
-                (pref * math.comb(n_tx, q) * (-1.0) ** (q + 1) * a**q, self._hypo_w, lam_e, q * lam_d)
+                (pref * math.comb(n_tx, q) * (-1.0) ** (q + 1) * a**q, w, lam_e, q * lam_d)
                 for q in range(1, n_tx + 1)
             )
             # the head and every part read the same weights, and the
             # parts' |weight| sum to pref ((1 + a)^N - 1)
-            abs_sum = sum(map(abs, self._hypo_w)) * (1.0 + pref * ((1.0 + a) ** n_tx - 1.0))
+            abs_sum = sum(map(abs, w)) * (1.0 + pref * ((1.0 + a) ** n_tx - 1.0))
         return parts, sys.float_info.epsilon * abs_sum
 
-    @cached_property
-    def _hypo_w(self) -> tuple:
-        """One transmitter's eavesdropper sf weights (the TTS and OTS tables)."""
-        return hypoexp_weights(self.scenario.eave_rates)
-
-    # -- survival on x >= 1 (ESR integrand) ----------------------------
-    @cached_property
-    def _survival_table(self) -> tuple:
-        """(c_i lam_i, lam_i, b_i) arrays of the tail sum, and its rounding scale.
-
-        Built on first use: most evaluators never integrate the ESR.
-        """
-        parts = self.parts()
-        c = np.concatenate([weight * np.array(coeffs) for weight, coeffs, _, _ in parts])
-        lam = np.concatenate([np.array(lams) for _, _, lams, _ in parts])
-        b = np.concatenate([np.full(len(lams), bp) for _, _, lams, bp in parts])
-        scale = 1.0
-        if self.spec.scheme is Scheme.OTS:
-            # 1 - F is a power of the single-link tail t, whose slope in t
-            # is at most N s
-            scale = self.scenario.n_transmitters * self.scenario.s
-        return c * lam, lam, b, scale * float(np.abs(c).sum())
-
-    def survival(self, xs: np.ndarray) -> np.ndarray:
-        """1 - F(x) on a 1-D array of x >= 1.
-
-        There the truncation point x0 is 0, so for MIN-ES and TTS 1 - F is
-        the tail sum sum_i c_i lam_i e^{-b_i (x-1)} / (b_i x + lam_i) alone;
-        for OTS it is s (1 - (1 - t)^N) (BKU) or 1 - (1 - s t)^N (BKA) of
-        the single-link tail t, formed without a 1 - F subtraction.  The
-        points x terms products are formed in bounded chunks.
-        """
-        cl, lam, b, _ = self._survival_table
-        xs = np.asarray(xs, dtype=float)
-        out = np.empty(xs.size)
-        step = max(1, _CHUNK_ELEMENTS // lam.size)
-        for i in range(0, xs.size, step):
-            x = xs[i:i + step, None]
-            out[i:i + step] = (cl * np.exp(-b * (x - 1.0)) / (b * x + lam)).sum(axis=1)
-        if self.spec.scheme is Scheme.OTS:
-            n_tx, s = self.scenario.n_transmitters, self.scenario.s
-            if self.spec.knowledge is Knowledge.BKU:
-                return s * -np.expm1(n_tx * np.log1p(-out))
-            return -np.expm1(n_tx * np.log1p(-s * out))
-        return out
-
-    def survival_error_bound(self) -> float:
-        """Worst-case absolute rounding error of :meth:`survival`.
-
-        eps sum_i |c_i| over the tail-sum coefficients, times N s for OTS.
-        """
-        return sys.float_info.epsilon * self._survival_table[3]
-
-    def _eave_sf(self, x: float) -> float:
-        """P(SE >= x) of one transmitter's colluding eavesdroppers."""
-        rates = self.scenario.eave_rates
-        return math.fsum(wk * math.exp(-lk * x) for wk, lk in zip(self._hypo_w, rates))
-
     def _closed_form(self, y: float) -> tuple:
-        """(F(y), bound on its rounding error): :attr:`_table`'s, raised to F's for OTS."""
+        """(F(y), bound on its rounding error) of MIN-ES or TTS from :attr:`_table`."""
         # per-y invariants hoisted out of the term loop, which reads the
         # parts directly; fsum is correctly rounded in any term order
-        sc, spec = self.scenario, self.spec
         bound = self._table[1]
         x0 = max(0.0, 1.0 / y - 1.0)
         ym1 = max(y - 1.0, 0.0)
         exp = math.exp
-        if spec.scheme is Scheme.MIN_ES:
+        if self.spec.scheme is Scheme.MIN_ES:
             body = math.fsum(
                 (weight * c)
                 * (exp(-lam * x0) - lam * exp(-b * ym1 - lam * x0) / (b * y + lam))
@@ -269,40 +218,25 @@ class RatioCdfEvaluator:
                 for c, lam in zip(coeffs, lams)
             )
             return self._atom + body, bound
-        head = self._eave_sf(x0)
+        head = hypoexp_sf(x0, self.scenario.eave_rates)
         tail = math.fsum(
             (weight * c) * (lam * exp(-b * ym1 - lam * x0) / (b * y + lam))
             for weight, coeffs, lams, b in self.parts()
             for c, lam in zip(coeffs, lams)
         )
-        if spec.scheme is Scheme.TTS:
-            return head - tail, bound
-        # OTS: head - tail is the single-link CDF; an inactive transmitter
-        # carries ratio 1/(1 + SE), whose per-link factor is the head.  As
-        # x moves by the bound d, x^N moves by at most (|x| + d)^N - |x|^N,
-        # formed by expm1/log1p: the linearised N |x|^{N-1} d would vanish
-        # where x rounds to 0.  It is capped at 1 against overflow; 1 still refuses.
-        n_tx, s = sc.n_transmitters, sc.s
-        bku = spec.knowledge is Knowledge.BKU
-        x = head - tail if bku else (1.0 - s) * head + s * (head - tail)
-        ax = abs(x)
-        grow = n_tx * math.log1p(bound / ax) if ax > 0.0 else math.inf
-        moved = math.exp(min(n_tx * math.log(ax + bound) + math.log(-math.expm1(-grow)), 0.0))
-        if bku:
-            return (1.0 - s) + s * x**n_tx, s * moved
-        return x**n_tx, moved
+        return head - tail, bound
 
     def _definitional(self, y: float) -> float:
         """Quadrature of the defining integral with unexpanded CDFs.
 
         Free of alternating-sign cancellation; used wherever the closed
-        form is too rounded or a MIN-ES table too large (see
-        :meth:`__call__`).  :func:`_min_eave_integral` takes,
+        form is too rounded, a MIN-ES table too large, or OTS is asked
+        below y = 1 (see :meth:`__call__`).  :func:`_min_eave_integral` takes,
         over x >= x0 = max(0, 1/y - 1), F_D = 1 - e^{-lambda_D (y (x+1) - 1)}
         over the least of N eavesdropping SNRs, each present with
         probability 1 (BKU) or s (BKA) (MIN-ES), or, over one link,
         (1-s) + s F_D^N (TTS-BKU), ((1-s) + s F_D)^N (TTS-BKA) or F_D
-        (OTS, then raised to the N-th power as in :meth:`_closed_form`).
+        (OTS, then raised to the N-th power).
         """
         sc, spec = self.scenario, self.spec
         lam_d, s, n_tx, rates = sc.dest_rate, sc.s, sc.n_transmitters, sc.eave_rates
@@ -323,12 +257,15 @@ class RatioCdfEvaluator:
             return (1.0 - s) + s * val**n_tx
         # an inactive transmitter carries ratio 1/(1 + SE), so its
         # per-link factor below y = 1 is the eavesdropper sf at x0
-        return ((1.0 - s) * self._eave_sf(x0) + s * val) ** n_tx
+        return ((1.0 - s) * hypoexp_sf(x0, rates) + s * val) ** n_tx
 
     def __call__(self, y: float) -> float:
         """F(y), clamped to [0, 1]: the closed form where it is safe, else the integral.
 
-        Every scheme integrates (:meth:`_definitional`) where the closed
+        OTS at y >= 1 takes its closed form (see the class docstring)
+        with no bound or fallback: g = -expm1(log of the tail) keeps its
+        relative accuracy as the tail nears 1, and so g^N as F -> 0.
+        MIN-ES and TTS integrate (:meth:`_definitional`) where the closed
         form's rounding bound (see :meth:`_closed_form`) exceeds
         1e-6 min(F, 1 - F), so that both F and 1 - F keep six digits; a
         closed form that cancels to 0 or below always fails this test.
@@ -338,7 +275,15 @@ class RatioCdfEvaluator:
         """
         if y <= 0.0:
             return 0.0
-        if self.spec.scheme is Scheme.MIN_ES and not self._expand:
+        sc, scheme = self.scenario, self.spec.scheme
+        if scheme is Scheme.OTS and y >= 1.0:
+            lam_d, s, n_tx = sc.dest_rate, sc.s, sc.n_transmitters
+            g = -math.expm1(-lam_d * (y - 1.0) + _log_laplace(lam_d * y, sc.eave_rates))
+            if self.spec.knowledge is Knowledge.BKU:
+                val = (1.0 - s) + s * g**n_tx
+            else:
+                val = (1.0 - s + s * g) ** n_tx
+        elif scheme is Scheme.OTS or (scheme is Scheme.MIN_ES and not self._expand):
             val = self._definitional(y)
         else:
             val, bound = self._closed_form(y)
@@ -365,8 +310,8 @@ def sop(scenario: Scenario, spec: SchemeSpec) -> float:
 def nzsr(scenario: Scenario, spec: SchemeSpec) -> float:
     """Probability of a strictly positive secrecy rate, 1 - F(1).
 
-    Routed as :func:`sop`; every scheme's rounding bound is held against
-    min(F, 1 - F), so a closed-form 1 - F also keeps six digits.
+    Routed as :func:`sop`; the MIN-ES and TTS rounding bounds are held
+    against min(F, 1 - F), so a closed-form 1 - F also keeps six digits.
     """
     return 1.0 - RatioCdfEvaluator(scenario, spec)(1.0)
 
@@ -506,11 +451,10 @@ def esr_quadrature(scenario: Scenario, spec: SchemeSpec, epsabs: float = 1e-9) -
     - MIN-ES: F_E = 1 - (1 - a F_1)^N, sf_D = p e^{-lambda_D t};
     - TTS:    F_E = F_1, sf_D = p (1 - (1 - a e^{-lambda_D t})^N).
 
-    OTS couples D and E in its pick; it integrates 1 - F(e^v) over
-    v >= 0 from :meth:`RatioCdfEvaluator.survival`, its closed form
-    evaluated on arrays of nodes, and refuses (:class:`QuadratureError`)
-    before integrating when that form's worst-case rounding error over
-    the range, eps sum_i |c_i| N s V / ln 2, exceeds 1e-6.  The selected
+    OTS couples D and E in its pick; it integrates 1 - F(1 + t) =
+    p (1 - (1 - a u)^N), the TTS form, of one link's tail
+    u = e^{-lambda_D t} L(lambda_D (1 + t)), L the Laplace transform of
+    its eavesdropping SNR, which reads no weights.  The selected
     destination SNR is at most the best of N exponential links, so the
     integrand is at most N e^{-lambda_D t} and the range stops at
     V = ln(1 + (40 + ln N)/lambda_D), where that is e^-40.  Every node
@@ -533,16 +477,10 @@ def esr_quadrature(scenario: Scenario, spec: SchemeSpec, epsabs: float = 1e-9) -
             t = np.expm1(v)
             return hypoexp_cdf(t, rates) * p * _any_of(np.exp(-lam_d * t), n_tx, a)
     else:
-        ev = RatioCdfEvaluator(sc, spec)
-        rounding = ev.survival_error_bound() * upper / LN2
-        if rounding > 1e-6:
-            raise QuadratureError(
-                f"ESR integrand of {spec.label} is dominated by rounding: "
-                f"worst-case error {rounding:.3g} bits"
-            )
-
         def integrand(v):
-            return ev.survival(np.exp(v))
+            t = np.expm1(v)
+            tail = np.exp(-lam_d * t + _log_laplace(lam_d * (t + 1.0), rates))
+            return p * _any_of(tail, n_tx, a)
 
     val, err = _adaptive_gk15(integrand, upper, epsabs, 1e-10, 1000)
     if not math.isfinite(val) or err > max(1e-6, 1e-6 * abs(val)):

@@ -79,9 +79,11 @@ def jitter_rates(rates, scale: float = 2.0 * RATE_SEPARATION) -> tuple[float, ..
     relative spacing 1e-5 the hypoexponential survival function is
     already off by about 1.7e-7 relative.  At the default spacing the
     weights of three equal rates reach 5e11 in magnitude, and the exact
-    SOP and NZSR of K >= 3 such eavesdroppers raise
+    MIN-ES and TTS SOP and NZSR of K >= 3 such eavesdroppers raise
     :class:`~txsecrecy.errors.QuadratureError` rather than return
-    rounding noise.
+    rounding noise.  OTS reads no weights (only the Laplace transform
+    prod_k rate_k / (rate_k + theta)), so its SOP, NZSR, ESR and line
+    offset evaluate at jittered rates.
     """
     return tuple(r * (1.0 + scale * k) for k, r in enumerate(rates))
 

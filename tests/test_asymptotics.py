@@ -5,7 +5,6 @@ import pytest
 
 import txsecrecy as tx
 from txsecrecy import ALL_SPECS, Knowledge, Scheme, SchemeSpec, cli
-from txsecrecy.combinatorics import harmonic
 
 from conftest import make_scenario, mp_hypoexp_cdf, mp_min_es_parts, mp_min_table, mp_min_table_e1
 
@@ -250,13 +249,12 @@ def _mp_ots_offset(n, rates, a, mp):
     """gamma + int g(e^u) du / head at 40 digits, g as in _ots_offset."""
     with mp.workdps(40):
         r = [mp.mpf(v) for v in rates]
-        w = [mp.fprod(r) / (rk * mp.fprod(rj - rk for rj in r if rj != rk)) for rk in r]
         a = mp.mpf(a)
         head = 1 - (1 - a) ** n
 
         def g(u):
             t = mp.exp(u)
-            laplace = mp.fsum(wk * rk / (rk + t) for wk, rk in zip(w, r))
+            laplace = mp.fprod(rk / (rk + t) for rk in r)
             return head * mp.exp(-t) - 1 + (1 - a * mp.exp(-t) * laplace) ** n
 
         val, err = mp.quad(g, [-90, -45, -20, -10, -6, -4, -2.5, -1, 0, 1, 2, 3, mp.log(300)],
@@ -276,6 +274,19 @@ def test_ots_offset_matches_mpmath(n, k):
         off = tx.esr_asymptote(sc.with_reliability(s), SchemeSpec(Scheme.OTS, kn)).offset
         want = refs[1.0 if kn is Knowledge.BKU else s]
         assert abs(off - float(want)) <= 1e-12 * abs(float(want)), (s, kn, off, float(want))
+
+
+@pytest.mark.parametrize("k", (3, 4, 6))
+@pytest.mark.parametrize("kn", list(Knowledge), ids=lambda k: k.name)
+def test_ots_offset_at_jittered_equal_rates_matches_mpmath(kn, k):
+    # equal rates 2e-6 apart, where sum |w_k| reaches 8e27 at K = 6: the
+    # offset reads the Laplace transform prod_k r_k / (r_k + t), which
+    # needs no hypoexponential weights
+    mp = pytest.importorskip("mpmath")
+    sc = tx.Scenario(3, k, 0.9, 0.01, tx.jitter_rates((0.5,) * k), 1.0)
+    off = tx.esr_asymptote(sc, SchemeSpec(Scheme.OTS, kn)).offset
+    want = float(_mp_ots_offset(3, sc.eave_rates, 1.0 if kn is Knowledge.BKU else sc.s, mp))
+    assert abs(off - want) <= 1e-12 * abs(want), (off, want)
 
 
 @pytest.mark.parametrize("kn", list(Knowledge), ids=lambda k: k.name)
@@ -330,16 +341,6 @@ def test_ots_offset_refuses_an_unconverged_integral(monkeypatch):
 
 
 @pytest.mark.parametrize("kn", list(Knowledge), ids=lambda k: k.name)
-def test_ots_offset_refuses_rounding_noise_weights(kn):
-    # four equal rates 2e-6 apart: sum |w_k| is 1.7e17, so the integrand
-    # is noise (for BKA its log1p sees arguments below -1); the call
-    # raises QuadratureError, not numpy's RuntimeWarning
-    sc = tx.Scenario(3, 4, 0.9, 0.01, tx.jitter_rates((0.5,) * 4), 1.0)
-    with pytest.raises(tx.QuadratureError):
-        tx.esr_asymptote(sc, SchemeSpec(Scheme.OTS, kn))
-
-
-@pytest.mark.parametrize("kn", list(Knowledge), ids=lambda k: k.name)
 def test_ots_offset_does_not_depend_on_dest_snr(kn):
     spec = SchemeSpec(Scheme.OTS, kn)
     tx.asymptotics._ots_offset.cache_clear()
@@ -351,10 +352,10 @@ def test_ots_offset_does_not_depend_on_dest_snr(kn):
 
 
 def test_ots_offset_reduces_to_harmonic_form_for_weak_eavesdropper():
-    # the harmonic-number offset is the lam_E -> 0 limit
+    # the harmonic-number offset is the lam_E -> 0 limit, H_j = sum_{i <= j} 1/i
     n = 5
     acc = math.fsum(
-        math.comb(n, m) * (-1.0) ** (m + 1) * harmonic(m - 1)
+        math.comb(n, m) * (-1.0) ** (m + 1) * math.fsum(1.0 / i for i in range(1, m))
         for m in range(1, n + 1)
     )
     sc = tx.scenario_from_db(n, 1, 1.0, 60.0, [80.0])

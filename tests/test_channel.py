@@ -9,11 +9,11 @@ from scipy.integrate import quad
 import txsecrecy as tx
 from txsecrecy import channel
 from txsecrecy.channel import (
+    _any_of,
     hypoexp_cdf,
     hypoexp_sf,
     hypoexp_weights,
     min_eave_sel_bka_terms,
-    min_eave_sel_cdf,
     min_hypoexp_terms,
 )
 from txsecrecy.errors import DomainError, RateSeparationError
@@ -183,11 +183,16 @@ def test_min_hypoexp_terms_are_shared_and_immutable():
     assert tuple(tuple(v.hex() for v in col) for col in table) == snapshot
 
 
+def _min_eave_cdf(x, sc):
+    """1 - (1 - F_1(x))^N of the least eavesdropping SNR over N links: the MIN-ES ESR factor."""
+    return _any_of(hypoexp_cdf(x, sc.eave_rates), sc.n_transmitters, 1.0)
+
+
 def test_min_eave_sel_cdf_matches_power_form():
     sc = make_scenario(n=4, k=3, s=0.9)
     for x in (0.0, 1.0, 10.0, 100.0):
         direct = 1.0 - hypoexp_sf(x, sc.eave_rates) ** sc.n_transmitters
-        assert min_eave_sel_cdf(x, sc) == pytest.approx(direct, abs=1e-12)
+        assert _min_eave_cdf(x, sc) == pytest.approx(direct, abs=1e-12)
 
 
 def _bka_min_cdf(x, sc):
@@ -269,19 +274,19 @@ def test_min_eave_sel_cdf_left_tail_matches_mpmath(n, k):
     with mp.workdps(80):
         for x in TAIL_XS:
             want = 1 - _mp_hypoexp_sf(x, sc.eave_rates, mp) ** n
-            _assert_rel(min_eave_sel_cdf(x, sc), want)
+            _assert_rel(_min_eave_cdf(x, sc), want)
 
 
 def test_cdf_array_forms_match_the_float_forms():
     # the ESR and line-offset integrands call both on arrays of nodes
     sc = make_scenario(n=12, k=6)
     xs = np.array(TAIL_XS + (1e3, 1e9))
-    for cdf, arg in ((hypoexp_cdf, sc.eave_rates), (min_eave_sel_cdf, sc)):
+    for cdf, arg in ((hypoexp_cdf, sc.eave_rates), (_min_eave_cdf, sc)):
         got = cdf(xs, arg)
         assert got.shape == xs.shape
         assert got.tolist() == [cdf(x, arg) for x in xs.tolist()]
     # F_1 = 1 gives 1, with no divide warning from log1p(-1)
     assert hypoexp_cdf(1e9, sc.eave_rates) == 1.0
-    assert min_eave_sel_cdf(np.array([1e9]), sc).tolist() == [1.0]
+    assert _min_eave_cdf(np.array([1e9]), sc).tolist() == [1.0]
     with pytest.raises(DomainError):
         hypoexp_cdf(np.array([1.0, -1e-300]), sc.eave_rates)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from txsecrecy.combinatorics import enumerate_compositions, harmonic, multinomial
+from txsecrecy.combinatorics import enumerate_compositions, multinomial
 
 
 def test_compositions_small_case():
@@ -52,9 +52,3 @@ def test_multinomial_rejects_bad_input():
         multinomial(3, (1, 1))
     with pytest.raises(ValueError):
         multinomial(3, (4, -1))
-
-
-def test_harmonic():
-    assert harmonic(0) == 0.0
-    assert harmonic(1) == 1.0
-    assert harmonic(4) == pytest.approx(25.0 / 12.0, rel=1e-15)

@@ -18,12 +18,17 @@ from conftest import make_scenario, mp_decoupled_esr, mp_min_es_parts, mp_min_ta
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label)
 def test_closed_form_matches_definitional_quadrature(spec):
-    # the expanded term tables and the unexpanded defining integrals are
-    # two independent routes to the same CDF
+    # the expanded term tables (MIN-ES, TTS) or the Laplace transform
+    # (OTS, which has a closed form at y >= 1 only) and the unexpanded
+    # defining integrals are two independent routes to the same CDF
     sc = make_scenario(n=4, k=3, s=0.7)
     ev = RatioCdfEvaluator(sc, spec)
     for y in (0.5, 1.0, 2.0, 7.0):
-        assert ev._closed_form(y)[0] == pytest.approx(ev._definitional(y), abs=1e-10)
+        if spec.scheme is Scheme.OTS:
+            if y >= 1.0:
+                assert ev(y) == pytest.approx(ev._definitional(y), abs=1e-10)
+        else:
+            assert ev._closed_form(y)[0] == pytest.approx(ev._definitional(y), abs=1e-10)
 
 
 def _reference_definitional(ev, y):
@@ -269,28 +274,6 @@ def test_esr_quadrature_never_takes_the_scalar_route(monkeypatch):
             assert tx.esr_quadrature(sc, spec) > 0.0
 
 
-@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label)
-def test_survival_matches_scalar_closed_form(spec):
-    sc = make_scenario(n=4, k=3, s=0.7)
-    ev = RatioCdfEvaluator(sc, spec)
-    xs = np.geomspace(1.0, 1e4, 41)
-    want = [1.0 - ev._closed_form(x)[0] for x in xs]
-    # each side within the rounding bound of the same table, plus 1 - F's
-    tol = 2.0 * ev.survival_error_bound() + 2.0**-52
-    assert ev.survival(xs) == pytest.approx(want, rel=1e-12, abs=tol)
-
-
-def test_survival_chunks_give_the_unchunked_values(monkeypatch):
-    sc = make_scenario(n=8, k=3, s=0.7)
-    ev = RatioCdfEvaluator(sc, SchemeSpec(Scheme.MIN_ES, Knowledge.BKA))
-    xs = np.geomspace(1.0, 1e3, 300)
-    n_terms = sum(len(coeffs) for _, coeffs, _, _ in ev.parts())
-    monkeypatch.setattr(tx.metrics, "_CHUNK_ELEMENTS", xs.size * n_terms)
-    whole = ev.survival(xs)
-    monkeypatch.setattr(tx.metrics, "_CHUNK_ELEMENTS", 7 * n_terms + 3)
-    assert np.array_equal(ev.survival(xs), whole)
-
-
 @pytest.mark.parametrize("kn", list(Knowledge), ids=lambda k: k.name)
 @pytest.mark.parametrize("n", (40, 60))
 def test_tts_esr_at_large_n_matches_mpmath(n, kn):
@@ -368,42 +351,110 @@ def test_deep_tail_cancellation_fallback():
     assert v70 / v80 == pytest.approx(1e5, rel=0.05)
 
 
+def _mp_ots_tail(sc, y, mp):
+    """One OTS link's P(D > y (1 + SE) - 1) at y >= 1 in ``mp``: e^{-lambda_D (y-1)} L(lambda_D y).
+
+    L(theta) = prod_k r_k / (r_k + theta) is the Laplace transform of the
+    link's eavesdropping SNR.
+    """
+    lam_d, y = mp.mpf(sc.dest_rate), mp.mpf(y)
+    laplace = mp.fprod(r / (r + lam_d * y) for r in map(mp.mpf, sc.eave_rates))
+    return mp.exp(-lam_d * (y - 1)) * laplace
+
+
+def _mp_ots_cdf(sc, kn, tail, mp):
+    """OTS F from one link's tail: (1-s) + s (1 - tail)^N (BKU) or (1 - s tail)^N (BKA)."""
+    s, n = mp.mpf(sc.s), sc.n_transmitters
+    if kn is Knowledge.BKU:
+        return 1 - s + s * (1 - tail) ** n
+    return (1 - s * tail) ** n
+
+
 @pytest.mark.parametrize("kn", list(Knowledge), ids=lambda k: k.name)
 def test_ots_deep_tail_keeps_the_closed_form(kn, monkeypatch):
-    # N = 30, s = 1, 60 dB: F(0.1) is about 8.5e-195, yet the single-link
-    # value x (about 3e-7) is known to eps 2 sum |w_k|, so x^30 keeps
-    # about seven digits and the router needs no integral
+    # N = 30, s = 1, 60 dB: F(2) is about 7.2e-139, and the single-link
+    # value g = -expm1(log tail) keeps its relative accuracy, so g^30
+    # does too and no integral is taken
+    mp = pytest.importorskip("mpmath")
+    sc = tx.scenario_from_db(30, 2, 1.0, 60.0, (6.0, 8.0), threshold_rate=1.0)
+    ev = RatioCdfEvaluator(sc, SchemeSpec(Scheme.OTS, kn))
+    with mp.workdps(30):
+        want = float(_mp_ots_cdf(sc, kn, _mp_ots_tail(sc, sc.rho, mp), mp))
+    assert 0.0 < want < 1e-130
+    monkeypatch.setattr(RatioCdfEvaluator, "_definitional", lambda self, y: pytest.fail("integrated"))
+    assert abs(ev(sc.rho) - want) <= 1e-12 * want, (ev(sc.rho), want)
+
+
+@pytest.mark.parametrize("kn", list(Knowledge), ids=lambda k: k.name)
+def test_ots_below_one_is_the_definitional_integral(kn):
+    # OTS has no closed form below y = 1, which only ratio_cdf reaches
     sc = tx.scenario_from_db(30, 2, 1.0, 60.0, (6.0, 8.0))
     ev = RatioCdfEvaluator(sc, SchemeSpec(Scheme.OTS, kn))
     want = ev._definitional(0.1)
     assert 0.0 < want < 1e-190
-    monkeypatch.setattr(RatioCdfEvaluator, "_definitional", lambda self, y: pytest.fail("integrated"))
-    assert ev(0.1) == pytest.approx(want, rel=1e-6, abs=0.0)
+    assert ev(0.1) == want
 
 
 @pytest.mark.parametrize("kn", list(Knowledge), ids=lambda k: k.name)
-def test_ots_point_past_its_rounding_bound_is_integrated(kn):
-    # N = 5, s = 1, 110 dB: F's bound is 1.3e-5 of F = 1.1e-46 and the
-    # closed form is 2.6e-7 off, so the router takes the integral
+def test_ots_sop_at_110db_matches_mpmath(kn):
+    # N = 5, s = 1, 110 dB: F = 1.1e-46, where a sum over the alternating
+    # hypoexponential weights is 2.6e-7 off; the Laplace transform is not
+    mp = pytest.importorskip("mpmath")
     sc = make_scenario(n=5, k=3, s=1.0, dest_db=110.0)
-    ev = RatioCdfEvaluator(sc, SchemeSpec(Scheme.OTS, kn))
-    val, bound = ev._closed_form(sc.rho)
-    want = ev._definitional(sc.rho)
-    assert bound > 1e-6 * val
-    assert abs(val - want) > 1e-7 * want
-    assert tx.sop(sc, ev.spec) == want
+    with mp.workdps(30):
+        want = float(_mp_ots_cdf(sc, kn, _mp_ots_tail(sc, sc.rho, mp), mp))
+    got = tx.sop(sc, SchemeSpec(Scheme.OTS, kn))
+    assert abs(got - want) <= 1e-12 * want, (got, want)
 
 
 @pytest.mark.parametrize("k", (3, 4))
-@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label)
+@pytest.mark.parametrize("spec", [s for s in ALL_SPECS if s.scheme is not Scheme.OTS],
+                         ids=lambda s: s.label)
 def test_jittered_equal_rates_refuse_sop_and_nzsr(spec, k):
     # equal rates 2e-6 apart: sum |w_k| is 5e11 (K = 3) or 1.7e17 (K = 4),
-    # so every closed form is rounding noise and so is the eavesdropper
-    # pdf of the integral; no scheme may return a value
+    # so every MIN-ES and TTS closed form is rounding noise and so is the
+    # eavesdropper pdf of the integral; neither scheme may return a value
     sc = tx.Scenario(3, k, 0.9, 0.01, tx.jitter_rates((0.5,) * k), 1.0)
     for metric in (tx.sop, tx.nzsr):
         with pytest.raises(tx.QuadratureError):
             metric(sc, spec)
+
+
+def _mp_ots_esr(sc, kn, mp):
+    """OTS ESR in bits: int p (1 - (1 - a tail(1 + t))^N) dv, t = e^v - 1, on the library's range."""
+    n, s, lam_d = sc.n_transmitters, mp.mpf(sc.s), mp.mpf(sc.dest_rate)
+    a, p = (1, s) if kn is Knowledge.BKU else (s, 1)
+    upper = mp.log1p((40 + mp.log(n)) / lam_d)
+
+    def integrand(v):
+        return p * (1 - (1 - a * _mp_ots_tail(sc, mp.exp(v), mp)) ** n)
+
+    return mp.quad(integrand, mp.linspace(0, upper, 33)) / mp.log(2)
+
+
+@pytest.mark.parametrize("k", (3, 4, 6))
+@pytest.mark.parametrize("kn", list(Knowledge), ids=lambda k: k.name)
+def test_ots_at_jittered_equal_rates_matches_mpmath(kn, k):
+    # equal rates 2e-6 apart, where MIN-ES and TTS refuse: OTS reads the
+    # Laplace transform prod_k r_k / (r_k + theta), which needs no
+    # hypoexponential weights (sum |w_k| reaches 8e27 at K = 6)
+    mp = pytest.importorskip("mpmath")
+    sc = tx.Scenario(3, k, 0.9, 0.01, tx.jitter_rates((0.5,) * k), 1.0)
+    spec = SchemeSpec(Scheme.OTS, kn)
+    with mp.workdps(30):
+        want = {
+            "sop": _mp_ots_cdf(sc, kn, _mp_ots_tail(sc, sc.rho, mp), mp),
+            "nzsr": 1 - _mp_ots_cdf(sc, kn, _mp_ots_tail(sc, 1, mp), mp),
+            "esr": _mp_ots_esr(sc, kn, mp),
+        }
+    got = {
+        "sop": tx.sop(sc, spec),
+        "nzsr": tx.nzsr(sc, spec),
+        "esr": tx.esr_quadrature(sc, spec),
+    }
+    for name, value in got.items():
+        ref = float(want[name])
+        assert abs(value - ref) <= 1e-12 * abs(ref), (name, value, ref)
 
 
 def _concatenated_table(sc, spec):
@@ -492,25 +543,28 @@ def test_streamed_parts_match_concatenated_table_exactly(scheme, kn):
 @pytest.mark.parametrize("n", (1, 5, 12))
 @pytest.mark.parametrize("k", (1, 3, 6))
 def test_ots_closed_form_keeps_single_link_bits(kn, n, k):
-    # OTS reads its single-link table from parts(); the single-link CDF
-    # it replaced is kept here as reference, and every bit must agree
+    # OTS has no term table.  At y >= 1 its F is the single-link CDF g
+    # raised to the N-th power with every bit of g kept (g is the F of
+    # one transmitter at s = 1), and g matches the 50-digit single-link
+    # table sum_k w_k lam_k e^{-lambda_D (y-1)} / (lambda_D y + lam_k)
+    mp = pytest.importorskip("mpmath")
     sc = make_scenario(n=n, k=k, s=0.7, dest_db=30.0)
-    ev = RatioCdfEvaluator(sc, SchemeSpec(Scheme.OTS, kn))
-    w = channel.hypoexp_weights(sc.eave_rates)
-    assert ev.parts() == ((1.0, w, sc.eave_rates, sc.dest_rate),)
-
-    def reference(y):
-        head = math.fsum(wk * _sf_at_x0(lk, y) for wk, lk in zip(w, sc.eave_rates))
-        tail = math.fsum(
-            wk * _term_integral(lk, sc.dest_rate, y) for wk, lk in zip(w, sc.eave_rates)
-        )
-        g = head - tail
-        if kn is Knowledge.BKU:
-            return (1.0 - sc.s) + sc.s * g**sc.n_transmitters
-        return ((1.0 - sc.s) * head + sc.s * g) ** sc.n_transmitters
-
-    for y in (0.25, 0.9, 1.0, 1.5, 7.0):
-        assert ev._closed_form(y)[0].hex() == reference(y).hex()
+    spec = SchemeSpec(Scheme.OTS, kn)
+    ev = RatioCdfEvaluator(sc, spec)
+    with pytest.raises(tx.UnsupportedClosedFormError):
+        ev.parts()
+    single = RatioCdfEvaluator(replace(sc, n_transmitters=1, backhaul_reliability=1.0), spec)
+    s, lam_d = sc.s, sc.dest_rate
+    for y in (1.0, 1.5, 7.0):
+        g = single(y)
+        want = (1.0 - s) + s * g**n if kn is Knowledge.BKU else (1.0 - s + s * g) ** n
+        assert ev(y).hex() == want.hex()
+        with mp.workdps(50):
+            tail = mp.fsum(
+                w * lam * mp.exp(-lam_d * (y - 1)) / (lam_d * y + lam)
+                for w, lam in mp_min_table(1, sc.eave_rates, mp)
+            )
+            assert abs(g - float(1 - tail)) <= 1e-14 * float(1 - tail), (y, g, 1 - tail)
 
 
 @pytest.mark.parametrize("scheme", [Scheme.MIN_ES, Scheme.TTS], ids=lambda s: s.name)

@@ -5,12 +5,15 @@ applies the same Gauss-Kronrod rule on it to the integrand evaluated
 in mpmath, and compares that rule's distance from the exact integral
 (the truncation error the estimate stands for) with the claimed error.
 The double value also differs from the rule by the rounding of its
-integrand, which the estimate does not cover: the OTS ESR quadrature's
-own worst-case rounding bound, and 1e-12 of the value (some hundred
-times the largest seen) for the other integrals, which state no bound.
+integrand, which the estimate does not cover: for the OTS ESR
+eps N s sum_k |w_k| V, the worst-case rounding over the range V of the
+single-link weight table (the Laplace-transform integrand rounds less),
+and 1e-12 of the value (some hundred times the largest seen) for the
+other integrals, which state no bound.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -113,14 +116,14 @@ def test_two_scale_definitional_error_estimate(monkeypatch):
         _check(value, claimed, _mp_rule(integrand, leaves), exact, 1e-12 * value)
 
 
-def _mp_ots_survival(ev):
-    sc = ev.scenario
+def _mp_ots_survival(sc, kn):
+    """1 - F(x) of OTS at x >= 1 from the single-link table in mpmath."""
     w, lam = _mp_eave_pdf(sc)
     s, lam_d, n_tx = mp.mpf(sc.s), mp.mpf(sc.dest_rate), sc.n_transmitters
 
     def survival(x):
         t = mp.fsum(wk * lk * mp.exp(-lam_d * (x - 1)) / (lam_d * x + lk) for wk, lk in zip(w, lam))
-        if ev.spec.knowledge is Knowledge.BKU:
+        if kn is Knowledge.BKU:
             return s * (1 - (1 - t) ** n_tx)
         return 1 - (1 - s * t) ** n_tx
 
@@ -139,14 +142,14 @@ def test_esr_quadrature_error_estimate(monkeypatch, scheme, kn, n, k, s, db):
     upper = math.log1p((40.0 + math.log(n)) / sc.dest_rate)
     with mp.workdps(40):
         if scheme is Scheme.OTS:
-            ev = metrics.RatioCdfEvaluator(sc, spec)
-            survival = _mp_ots_survival(ev)
+            survival = _mp_ots_survival(sc, kn)
 
             def integrand(v):
                 return survival(mp.exp(v))
 
             exact = mp.quad(integrand, mp.linspace(0, upper, 17))
-            rounding = ev.survival_error_bound() * upper
+            abs_w = math.fsum(map(abs, tx.channel.hypoexp_weights(sc.eave_rates)))
+            rounding = sys.float_info.epsilon * n * s * abs_w * upper
         else:
             integrand = mp_decoupled_esr_integrand(sc, spec, mp)
             exact = mp_decoupled_esr(sc, spec, mp) * mp.log(2)
@@ -161,11 +164,11 @@ def test_esr_quadrature_error_estimate(monkeypatch, scheme, kn, n, k, s, db):
 )
 def test_ots_offset_error_estimate(monkeypatch, n, k, s, kn):
     sc = make_scenario(n=n, k=k, s=s)
-    ((_, w, lams, _),) = metrics.RatioCdfEvaluator(sc, SchemeSpec(Scheme.OTS, kn)).parts()
+    w, lams = tx.channel.hypoexp_weights(sc.eave_rates), sc.eave_rates
     a = 1.0 if kn is Knowledge.BKU else s
     asymptotics._ots_offset.cache_clear()
     value, claimed, leaves = _recorded_integral(
-        monkeypatch, lambda: asymptotics._ots_offset(n, w, lams, a)
+        monkeypatch, lambda: asymptotics._ots_offset(n, lams, a)
     )
     lo = -40.0 - math.log1p(n * (1.0 + math.fsum(1.0 / lk for lk in lams)))
     hi = math.log(40.0 + math.log1p(n))
