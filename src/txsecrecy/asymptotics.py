@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _any_of, _log_laplace, hypoexp_cdf
+from .channel import _any_of, _log_laplace, _thinning, hypoexp_cdf
 from .errors import InvalidRegimeError, QuadratureError, UnsupportedClosedFormError
 from .metrics import LN2, _adaptive_gk15, _min_eave_integral, sop
 from .scenario import Knowledge, Scenario, Scheme, SchemeSpec
@@ -60,14 +60,11 @@ class DiversityFit:
 
 
 def sop_asymptote(scenario: Scenario, spec: SchemeSpec) -> SopAsymptote:
-    """High-SNR SOP saturation level; scheme- and K-independent."""
-    s = scenario.backhaul_reliability
-    if spec.knowledge is Knowledge.BKU:
-        return SopAsymptote(1.0 - s, "BKU saturation (1-s), independent of scheme and K")
-    return SopAsymptote(
-        (1.0 - s) ** scenario.n_transmitters,
-        "BKA saturation (1-s)^N, independent of scheme and K",
-    )
+    """High-SNR SOP saturation level, the undelivered mass; scheme- and K-independent."""
+    a, p = _thinning(spec.knowledge, scenario.backhaul_reliability)
+    floor = "(1-s)" if spec.knowledge is Knowledge.BKU else "(1-s)^N"
+    note = f"{spec.knowledge.value} saturation {floor}, independent of scheme and K"
+    return SopAsymptote((1.0 - p) + p * (1.0 - a) ** scenario.n_transmitters, note)
 
 
 def nzsr_asymptote(scenario: Scenario, spec: SchemeSpec) -> float:
@@ -143,9 +140,10 @@ def esr_asymptote(scenario: Scenario, spec: SchemeSpec) -> EsrAsymptote:
     As lambda_D -> 0 the ESR in nats is
     E[1(D > 0) (ln(lambda_D D) - ln(1 + E))] + norm ln(1/lambda_D) + o(1)
     over the selected destination SNR D (0 where the backhaul is down)
-    and eavesdropping SNR E, where norm = P(D > 0) is s (BKU) or
-    1 - (1-s)^N (BKA).  So the slope is norm / ln 2, the same for every
-    scheme and every number of eavesdroppers, and the offset is
+    and eavesdropping SNR E, where norm = P(D > 0), the delivered mass
+    p (1 - (1-a)^N), is s (BKU) or 1 - (1-s)^N (BKA).  So the slope is
+    norm / ln 2, the same for every scheme and every number of
+    eavesdroppers, and the offset is
     E[ln(1 + E)] - E[ln(lambda_D D)] given D > 0.  MIN-ES and TTS pick
     their link from one side only, so the two means are taken apart
     (:func:`_decoupled_offset`); for OTS the offset is one per order n of
@@ -153,13 +151,13 @@ def esr_asymptote(scenario: Scenario, spec: SchemeSpec) -> EsrAsymptote:
     :func:`_ots_offset` over the Laplace transform of one link's
     eavesdropping SNR, with no term table or weights.  Both hold at any N.
     """
-    sc = scenario
-    s, n_tx = sc.backhaul_reliability, sc.n_transmitters
-    norm = s if spec.knowledge is Knowledge.BKU else 1.0 - (1.0 - s) ** n_tx
-    a = 1.0 if spec.knowledge is Knowledge.BKU else s
+    n_tx, rates = scenario.n_transmitters, scenario.eave_rates
+    a, p = _thinning(spec.knowledge, scenario.backhaul_reliability)
     if spec.scheme is Scheme.OTS:
-        return EsrAsymptote(norm / LN2, _EULER + _ots_offset(n_tx, sc.eave_rates, a))
-    return EsrAsymptote(norm / LN2, _decoupled_offset(spec.scheme, n_tx, sc.eave_rates, a))
+        offset = _EULER + _ots_offset(n_tx, rates, a)
+    else:
+        offset = _decoupled_offset(spec.scheme, n_tx, rates, a)
+    return EsrAsymptote(p * (1.0 - (1.0 - a) ** n_tx) / LN2, offset)
 
 
 @functools.lru_cache(maxsize=64)
@@ -238,7 +236,7 @@ def _offset_integral(f, lo: float, hi: float) -> float:
     Raises :class:`QuadratureError` unless the value is finite and its
     error estimate at most 1e-10.
     """
-    val, err = _adaptive_gk15(lambda x: f(lo + x), hi - lo, 1e-15, 1e-14, 1000)
+    val, err = _adaptive_gk15(lambda x: f(lo + x), hi - lo, 1e-15, 1e-14)
     if not math.isfinite(val) or err > 1e-10:
         raise QuadratureError(f"ESR line offset integral did not converge: value={val}, err={err}")
     return val
@@ -276,7 +274,7 @@ def _ots_offset(n_tx: int, rates: tuple, a: float) -> float:
         miss = -np.expm1(-t + _log_laplace(t, rates))
         return _thinned_gain(miss, n_tx, a) + head * np.expm1(-t)
 
-    val, err = _adaptive_gk15(g, hi - lo, 1e-15 * head, 1e-14, 1000)
+    val, err = _adaptive_gk15(g, hi - lo, 1e-15 * head, 1e-14)
     if not math.isfinite(val) or err > 1e-10 * head:
         raise QuadratureError(f"OTS offset integral did not converge: value={val}, err={err}")
     return val / head

@@ -1,11 +1,12 @@
 """Link-SNR distributions and order statistics of the selected link.
 
 Destination links are exponential; the MRC-combined eavesdropping SNR is
-hypoexponential with distinct rates; backhaul uncertainty turns both
-into Bernoulli-exponential mixtures with an explicit point mass at zero.
-The selection rules induce min/max order statistics whose multinomial /
-binomial expansions are precomputed here as (coefficient, rate) term
-tables reused by the exact metrics.  The MIN-ES expansion depends only
+hypoexponential with distinct rates.  Backhaul enters every scheme by
+one rule, :func:`_thinning`; a slot whose pick is not delivered has
+secrecy SNR ratio 0, a point mass in every ratio CDF.  The selection
+rules induce min/max order statistics whose multinomial / binomial
+expansions are precomputed here as (coefficient, rate) term tables
+reused by the exact metrics.  The MIN-ES expansion depends only
 on the number of i.i.d. draws n and the eavesdropper rates, so it is
 cached per (n, rates); the backhaul reliability s and the destination
 rate lambda_D enter the metrics only as scalar weights on these tables.
@@ -21,7 +22,7 @@ import numpy as np
 
 from .combinatorics import enumerate_compositions, multinomial
 from .errors import DomainError
-from .scenario import Scenario, check_rate_separation
+from .scenario import Knowledge, Scenario, check_rate_separation
 
 
 def _require_nonneg(x: float) -> None:
@@ -117,6 +118,15 @@ def _log_laplace(theta, rates: Sequence[float]):
     spacing.  theta is a float or an array, taken elementwise.
     """
     return -np.log1p(np.divide.outer(theta, rates)).sum(axis=-1)
+
+
+def _thinning(knowledge: Knowledge, s: float) -> tuple:
+    """(a, p): the chances that a link takes part in the selection and that the pick delivers.
+
+    BKU is (1, s), BKA (s, 1).  A slot is undelivered, with ratio 0, with
+    probability (1-p) + p (1-a)^N, and delivers with p (1 - (1-a)^N).
+    """
+    return (1.0, s) if knowledge is Knowledge.BKU else (s, 1.0)
 
 
 def bka_weight(n_tx: int, n: int, s: float) -> float:

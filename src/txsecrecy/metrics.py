@@ -22,10 +22,9 @@ MIN-ES picks its link by the eavesdroppers alone and TTS by the
 destination alone, so their selected destination and eavesdropping SNRs
 are independent and the ESR integrand is a product of two nonnegative
 probabilities on numpy arrays of nodes, with no term table.  OTS needs
-neither a table nor a bound: every metric reads F only at y >= 1, where
-one link's tail is e^{-lambda_D (y-1)} times the Laplace transform of
-its eavesdropping SNR at lambda_D y, a product of factors in (0, 1]
-that reads no hypoexponential weights.
+neither a table nor a bound: one link's tail is a product of factors in
+(0, 1] that reads no hypoexponential weights.  Every metric reads F only
+at y >= 1, the one range with closed forms; below it F is the integral.
 """
 
 from __future__ import annotations
@@ -41,6 +40,7 @@ from .channel import (
     _any_of,
     _log_laplace,
     _min_hypoexp_table,
+    _thinning,
     bka_weight,
     hypoexp_cdf,
     hypoexp_sf,
@@ -72,6 +72,9 @@ _ROUNDING_SHARE = 1e-6
 #: a start as fine as most integrals need saves the five or six steps a
 #: single interval takes to reach it (16 and 64 pieces timed no better).
 _GK15_START_PIECES = 32
+
+#: Intervals past which :func:`_adaptive_gk15` stops bisecting.
+_GK15_MAX_PIECES = 1000
 
 #: QUADPACK's Gauss-Kronrod 7/15 rule on [-1, 1]: the 15 Kronrod nodes in
 #: increasing order with their weights; the 7 Gauss nodes are the odd
@@ -111,33 +114,39 @@ def _min_es_table_terms(n_tx: int, k: int, knowledge: Knowledge) -> int:
     return math.comb(n_tx + k, k) - 1
 
 
+def _best_of_cdf(g, n: int, a: float, p: float):
+    """(1-p) + p (1 - a + a g)^n: CDF of the best of n links of CDF g, thinned by (a, p)."""
+    return (1.0 - p) + p * (1.0 - a + a * g) ** n
+
+
 @dataclass(frozen=True)
 class RatioCdfEvaluator:
     """Evaluates F(y) of the post-selection SNR ratio for one scenario+scheme.
 
-    MIN-ES and TTS read one term table: a short tuple of parts
-    (weight, coeffs, lams, b), where every term of a part has
-    c_i = weight * coeffs[i], rate lam_i = lams[i] and the same
-    destination rate multiple b.  With x0 = max(0, 1/y - 1), each term
-    contributes c_i lam_i e^{-b (y-1)^+ - lam_i x0} / (b y + lam_i), the
-    integral J_i(y) of the destination tail against the eavesdropper
-    density, and
+    Backhaul enters by (a, p) of :func:`~txsecrecy.channel._thinning`.  A
+    slot whose pick is not delivered has ratio 0, so for y > 0
+    F(y) >= atom = (1-p) + p (1-a)^N; y <= 0 gives 0.  At y >= 1 MIN-ES
+    and TTS read one term table: a short tuple of parts (weight, coeffs,
+    lams, b), where every term of a part has c_i = weight * coeffs[i],
+    rate lam_i = lams[i] and the same destination rate multiple b.  Each
+    term contributes c_i lam_i e^{-b (y-1)} / (b y + lam_i), the integral
+    J_i(y) of the destination tail against the eavesdropper density, and
 
-    - MIN-ES: F = atom + sum_i c_i (e^{-lam_i x0} - J_i), with one part
-      (s, table of the min over N) for BKU and one part per active count
-      n with the BKA weight for BKA; the MIN-ES coeffs/lams are the term
-      tables :func:`~txsecrecy.channel.min_hypoexp_terms` caches per
+    - MIN-ES: F = atom + sum_i c_i (1 - J_i), one part per count n of
+      participating links, weight p C(N,n) (1-a)^(N-n) a^n, where not 0;
+      the coeffs/lams are the term tables
+      :func:`~txsecrecy.channel.min_hypoexp_terms` caches per
       (n, eavesdropper rates), shared, never copied;
     - TTS: F = head - sum_i c_i J_i over the binomial parts of the best
-      destination tail, one per order q = 1..N, head = P(SE >= x0).
+      destination tail, one per order q = 1..N, head = P(SE >= 0).
 
     s and lambda_D enter only as the scalar weight and b of each part.
     OTS has no table.  At y >= 1 one link's CDF is
     g = 1 - e^{-lambda_D (y-1)} L(lambda_D y), with L the Laplace
     transform of its eavesdropping SNR
-    (:func:`~txsecrecy.channel._log_laplace`), and F = (1-s) + s g^N
-    (BKU) or (1 - s + s g)^N (BKA); below y = 1, which only
-    :func:`ratio_cdf` reaches, F is :meth:`_definitional`.
+    (:func:`~txsecrecy.channel._log_laplace`), and
+    F = (1-p) + p (1 - a + a g)^N.  Below y = 1, which only
+    :func:`ratio_cdf` reaches, every scheme's F is :meth:`_definitional`.
     Evaluation is a pure function of y and safe for concurrent use.
     """
 
@@ -146,11 +155,11 @@ class RatioCdfEvaluator:
 
     def __post_init__(self):
         sc, spec = self.scenario, self.spec
+        a, p = _thinning(spec.knowledge, sc.s)
+        object.__setattr__(self, "_thinned", (a, p))
+        object.__setattr__(self, "_atom", (1.0 - p) + p * (1.0 - a) ** sc.n_transmitters)
         if spec.scheme is Scheme.MIN_ES:
-            n_tx = sc.n_transmitters
-            bku = spec.knowledge is Knowledge.BKU
-            object.__setattr__(self, "_atom", 1.0 - sc.s if bku else (1.0 - sc.s) ** n_tx)
-            terms = _min_es_table_terms(n_tx, sc.n_eavesdroppers, spec.knowledge)
+            terms = _min_es_table_terms(sc.n_transmitters, sc.n_eavesdroppers, spec.knowledge)
             object.__setattr__(self, "_expand", terms <= _MAX_TABLE_TERMS)
 
     def parts(self) -> tuple:
@@ -169,58 +178,52 @@ class RatioCdfEvaluator:
 
         The bound on the closed form's rounding is eps sum_i |weight c_i|
         for MIN-ES and eps (sum_k |w_k| + sum_i |weight c_i|) for TTS,
-        whose head sum_k w_k e^{-lam_k x0} is alternating too.
+        whose head sum_k w_k is alternating too.
         """
-        sc, spec = self.scenario, self.spec
-        n_tx, s, lam_d, lam_e = sc.n_transmitters, sc.s, sc.dest_rate, sc.eave_rates
-        if spec.scheme is Scheme.MIN_ES:
-            # the minimum runs over all N transmitters (BKU) or over the n
-            # active ones, weighted by the chance that n are active (BKA)
-            if spec.knowledge is Knowledge.BKU:
-                weights = {n_tx: s}
-            else:
-                weights = {n: bka_weight(n_tx, n, s) for n in range(1, n_tx + 1)}
+        sc = self.scenario
+        n_tx, lam_d, lam_e = sc.n_transmitters, sc.dest_rate, sc.eave_rates
+        a, p = self._thinned
+        if self.spec.scheme is Scheme.MIN_ES:
+            # the minimum runs over the n links that take part, weighted by
+            # the chance that n do and that the pick delivers
             parts, abs_sum = [], 0.0
-            for n, weight in weights.items():
-                (coeffs, lams), table_abs_sum = _min_hypoexp_table(n, lam_e)
-                parts.append((weight, coeffs, lams, lam_d))
-                abs_sum += weight * table_abs_sum
+            for n in range(1, n_tx + 1):
+                weight = p * bka_weight(n_tx, n, a)
+                if weight > 0.0:
+                    (coeffs, lams), table_abs_sum = _min_hypoexp_table(n, lam_e)
+                    parts.append((weight, coeffs, lams, lam_d))
+                    abs_sum += weight * table_abs_sum
             parts = tuple(parts)
         else:
-            # the best destination tail is s (1 - (1 - e^{-u})^N) (BKU) or
-            # 1 - (1 - s e^{-u})^N (BKA): pref sum_q C(N,q) (-1)^{q+1} a^q
-            # e^{-q u}, so the dead-backhaul mass of TTS sits in the
-            # destination mixture, not in a separate atom
-            pref, a = (s, 1.0) if spec.knowledge is Knowledge.BKU else (1.0, s)
+            # the best destination tail, p (1 - (1 - a e^{-u})^N), is
+            # p sum_q C(N,q) (-1)^{q+1} a^q e^{-q u}
             w = hypoexp_weights(lam_e)
             parts = tuple(
-                (pref * math.comb(n_tx, q) * (-1.0) ** (q + 1) * a**q, w, lam_e, q * lam_d)
+                (p * math.comb(n_tx, q) * (-1.0) ** (q + 1) * a**q, w, lam_e, q * lam_d)
                 for q in range(1, n_tx + 1)
             )
             # the head and every part read the same weights, and the
-            # parts' |weight| sum to pref ((1 + a)^N - 1)
-            abs_sum = sum(map(abs, w)) * (1.0 + pref * ((1.0 + a) ** n_tx - 1.0))
+            # parts' |weight| sum to p ((1 + a)^N - 1)
+            abs_sum = sum(map(abs, w)) * (1.0 + p * ((1.0 + a) ** n_tx - 1.0))
         return parts, sys.float_info.epsilon * abs_sum
 
     def _closed_form(self, y: float) -> tuple:
-        """(F(y), bound on its rounding error) of MIN-ES or TTS from :attr:`_table`."""
+        """(F(y), bound on its rounding error) of MIN-ES or TTS from :attr:`_table`, at y >= 1."""
         # per-y invariants hoisted out of the term loop, which reads the
         # parts directly; fsum is correctly rounded in any term order
         bound = self._table[1]
-        x0 = max(0.0, 1.0 / y - 1.0)
-        ym1 = max(y - 1.0, 0.0)
+        ym1 = y - 1.0
         exp = math.exp
         if self.spec.scheme is Scheme.MIN_ES:
             body = math.fsum(
-                (weight * c)
-                * (exp(-lam * x0) - lam * exp(-b * ym1 - lam * x0) / (b * y + lam))
+                (weight * c) * (1.0 - lam * exp(-b * ym1) / (b * y + lam))
                 for weight, coeffs, lams, b in self.parts()
                 for c, lam in zip(coeffs, lams)
             )
             return self._atom + body, bound
-        head = hypoexp_sf(x0, self.scenario.eave_rates)
+        head = hypoexp_sf(0.0, self.scenario.eave_rates)
         tail = math.fsum(
-            (weight * c) * (lam * exp(-b * ym1 - lam * x0) / (b * y + lam))
+            (weight * c) * (lam * exp(-b * ym1) / (b * y + lam))
             for weight, coeffs, lams, b in self.parts()
             for c, lam in zip(coeffs, lams)
         )
@@ -229,62 +232,55 @@ class RatioCdfEvaluator:
     def _definitional(self, y: float) -> float:
         """Quadrature of the defining integral with unexpanded CDFs.
 
-        Free of alternating-sign cancellation; used wherever the closed
-        form is too rounded, a MIN-ES table too large, or OTS is asked
-        below y = 1 (see :meth:`__call__`).  :func:`_min_eave_integral` takes,
-        over x >= x0 = max(0, 1/y - 1), F_D = 1 - e^{-lambda_D (y (x+1) - 1)}
-        over the least of N eavesdropping SNRs, each present with
-        probability 1 (BKU) or s (BKA) (MIN-ES), or, over one link,
-        (1-s) + s F_D^N (TTS-BKU), ((1-s) + s F_D)^N (TTS-BKA) or F_D
-        (OTS, then raised to the N-th power).
+        Free of alternating-sign cancellation; used below y = 1 and where
+        the closed form is too rounded or a MIN-ES table too large (see
+        :meth:`__call__`).  An undelivered slot has ratio 0, so F >= atom.
+        :func:`_min_eave_integral` takes, over x >= x0 = max(0, 1/y - 1),
+        F_D = 1 - e^{-lambda_D (y (x+1) - 1)} over the least of N
+        eavesdropping SNRs, each present with probability a (MIN-ES:
+        atom + p a times it), or over one link (1-p) + p (1 - a + a F_D)^N
+        (TTS, plus atom F_1(x0) for the undelivered slots below x0) or F_D
+        (OTS: g, and F = (1-p) + p (1 - a + a g)^N).
         """
-        sc, spec = self.scenario, self.spec
-        lam_d, s, n_tx, rates = sc.dest_rate, sc.s, sc.n_transmitters, sc.eave_rates
+        sc = self.scenario
+        lam_d, n_tx, rates = sc.dest_rate, sc.n_transmitters, sc.eave_rates
+        a, p = self._thinned
         x0 = max(0.0, 1.0 / y - 1.0)
-        bku = spec.knowledge is Knowledge.BKU
 
         def fd(x):
             return -np.expm1(-lam_d * np.maximum(y * (x + 1.0) - 1.0, 0.0))
 
-        if spec.scheme is Scheme.MIN_ES:
-            return self._atom + s * _min_eave_integral(rates, n_tx, 1.0 if bku else s, fd, x0)
-        if spec.scheme is Scheme.TTS:
-            if bku:
-                return _min_eave_integral(rates, 1, 1.0, lambda x: 1.0 - s + s * fd(x) ** n_tx, x0)
-            return _min_eave_integral(rates, 1, 1.0, lambda x: (1.0 - s + s * fd(x)) ** n_tx, x0)
-        val = _min_eave_integral(rates, 1, 1.0, fd, x0)
-        if bku:
-            return (1.0 - s) + s * val**n_tx
-        # an inactive transmitter carries ratio 1/(1 + SE), so its
-        # per-link factor below y = 1 is the eavesdropper sf at x0
-        return ((1.0 - s) * hypoexp_sf(x0, rates) + s * val) ** n_tx
+        if self.spec.scheme is Scheme.MIN_ES:
+            return self._atom + p * a * _min_eave_integral(rates, n_tx, a, fd, x0)
+        if self.spec.scheme is Scheme.TTS:
+            val = _min_eave_integral(rates, 1, 1.0, lambda x: _best_of_cdf(fd(x), n_tx, a, p), x0)
+            return val + self._atom * hypoexp_cdf(x0, rates) if x0 > 0.0 else val
+        return _best_of_cdf(_min_eave_integral(rates, 1, 1.0, fd, x0), n_tx, a, p)
 
     def __call__(self, y: float) -> float:
         """F(y), clamped to [0, 1]: the closed form where it is safe, else the integral.
 
-        OTS at y >= 1 takes its closed form (see the class docstring)
-        with no bound or fallback: g = -expm1(log of the tail) keeps its
-        relative accuracy as the tail nears 1, and so g^N as F -> 0.
-        MIN-ES and TTS integrate (:meth:`_definitional`) where the closed
-        form's rounding bound (see :meth:`_closed_form`) exceeds
-        1e-6 min(F, 1 - F), so that both F and 1 - F keep six digits; a
-        closed form that cancels to 0 or below always fails this test.
-        MIN-ES also integrates, faster, when its table would have more
-        than 300 terms, and builds none.  The integral raises
-        :class:`QuadratureError` rather than return an unconverged value.
+        Below y = 1 every scheme integrates (:meth:`_definitional`).  OTS
+        takes its closed form (see the class docstring) with no bound or
+        fallback: g = -expm1(log of the tail) keeps its relative accuracy
+        as the tail nears 1, and so g^N as F -> 0.  MIN-ES and TTS
+        integrate where the closed form's rounding bound (see
+        :meth:`_closed_form`) exceeds 1e-6 min(F, 1 - F), so that both F
+        and 1 - F keep six digits; a closed form that cancels to 0 or
+        below always fails this test.  MIN-ES also integrates, faster,
+        when its table would have more than 300 terms, and builds none.
+        The integral raises :class:`QuadratureError` rather than return
+        an unconverged value.
         """
         if y <= 0.0:
             return 0.0
         sc, scheme = self.scenario, self.spec.scheme
-        if scheme is Scheme.OTS and y >= 1.0:
-            lam_d, s, n_tx = sc.dest_rate, sc.s, sc.n_transmitters
-            g = -math.expm1(-lam_d * (y - 1.0) + _log_laplace(lam_d * y, sc.eave_rates))
-            if self.spec.knowledge is Knowledge.BKU:
-                val = (1.0 - s) + s * g**n_tx
-            else:
-                val = (1.0 - s + s * g) ** n_tx
-        elif scheme is Scheme.OTS or (scheme is Scheme.MIN_ES and not self._expand):
+        if y < 1.0 or (scheme is Scheme.MIN_ES and not self._expand):
             val = self._definitional(y)
+        elif scheme is Scheme.OTS:
+            lam_d = sc.dest_rate
+            g = -math.expm1(-lam_d * (y - 1.0) + _log_laplace(lam_d * y, sc.eave_rates))
+            val = _best_of_cdf(g, sc.n_transmitters, *self._thinned)
         else:
             val, bound = self._closed_form(y)
             if bound > _ROUNDING_SHARE * min(val, 1.0 - val):
@@ -293,7 +289,11 @@ class RatioCdfEvaluator:
 
 
 def ratio_cdf(scenario: Scenario, spec: SchemeSpec, y: float) -> float:
-    """CDF of the post-selection secrecy SNR ratio at ``y``."""
+    """CDF of the post-selection secrecy SNR ratio at ``y``.
+
+    An undelivered slot has ratio 0 in every scheme, so F(y) >= 1 - s
+    (BKU) or (1 - s)^N (BKA) for y > 0; y <= 0 gives 0.
+    """
     return RatioCdfEvaluator(scenario, spec)(y)
 
 
@@ -310,9 +310,15 @@ def sop(scenario: Scenario, spec: SchemeSpec) -> float:
 def nzsr(scenario: Scenario, spec: SchemeSpec) -> float:
     """Probability of a strictly positive secrecy rate, 1 - F(1).
 
-    Routed as :func:`sop`; the MIN-ES and TTS rounding bounds are held
-    against min(F, 1 - F), so a closed-form 1 - F also keeps six digits.
+    MIN-ES and TTS are routed as :func:`sop`; their rounding bounds are
+    held against min(F, 1 - F), so a closed-form 1 - F also keeps six
+    digits.  OTS forms p (1 - (1 - a u)^N), with no subtraction from 1,
+    of one link's tail u = L(lambda_D) (the ESR integrand at t = 0).
     """
+    if spec.scheme is Scheme.OTS:
+        a, p = _thinning(spec.knowledge, scenario.s)
+        u = math.exp(_log_laplace(scenario.dest_rate, scenario.eave_rates))
+        return float(p * _any_of(u, scenario.n_transmitters, a))
     return 1.0 - RatioCdfEvaluator(scenario, spec)(1.0)
 
 
@@ -374,7 +380,7 @@ def _gk15(f, lo: np.ndarray, hi: np.ndarray) -> tuple:
     return kronrod * half, err * half
 
 
-def _adaptive_gk15(f, upper: float, epsabs: float, epsrel: float, limit: int) -> tuple:
+def _adaptive_gk15(f, upper: float, epsabs: float, epsrel: float) -> tuple:
     """Globally adaptive GK15 integral of f over [0, upper]: (value, error estimate).
 
     Starts from :data:`_GK15_START_PIECES` equal intervals, evaluated in
@@ -382,7 +388,7 @@ def _adaptive_gk15(f, upper: float, epsabs: float, epsrel: float, limit: int) ->
     length's share of the tolerance (and always the worst one) and
     evaluates all the new intervals in one call, until the summed error
     meets max(epsabs, epsrel |value|) or another step would pass
-    ``limit`` intervals.
+    :data:`_GK15_MAX_PIECES` intervals.
     """
     edges = np.linspace(0.0, upper, _GK15_START_PIECES + 1)
     lo, hi = edges[:-1], edges[1:]
@@ -393,7 +399,7 @@ def _adaptive_gk15(f, upper: float, epsabs: float, epsrel: float, limit: int) ->
         if not math.isfinite(total_err) or total_err <= tol:
             break
         split = (err * upper > tol * (hi - lo)) | (err == err.max())
-        if lo.size + np.count_nonzero(split) > limit:
+        if lo.size + np.count_nonzero(split) > _GK15_MAX_PIECES:
             break
         mid = 0.5 * (lo[split] + hi[split])
         new_lo = np.concatenate((lo[split], mid))
@@ -426,7 +432,7 @@ def _min_eave_integral(rates: tuple, n: int, a: float, phi, x0: float = 0.0) -> 
         return n * sigma ** (n - 1) * phi(x) * (e @ (w * lam_e)) * mean / (1.0 - t) ** 2
 
     # at 1e-12 the GK15 estimate passed errors near 1e-11 where F is near 1
-    val, err = _adaptive_gk15(integrand, 1.0, 0.0, 1e-13, 1000)
+    val, err = _adaptive_gk15(integrand, 1.0, 0.0, 1e-13)
     if not math.isfinite(val) or err > 1e-10 * abs(val):
         raise QuadratureError(
             f"integral over the least eavesdropping SNR of {n} transmitters did not "
@@ -444,7 +450,7 @@ def esr_quadrature(scenario: Scenario, spec: SchemeSpec, epsabs: float = 1e-9) -
     MIN-ES picks its link by the eavesdroppers alone and TTS by the
     destination alone, so D and E are independent and
     P(E < t < D) = F_E(t) sf_D(t), a product of nonnegative factors
-    (a = 1 and p = s for BKU, a = s and p = 1 for BKA; F_1 is one
+    ((a, p) of :func:`~txsecrecy.channel._thinning`; F_1 is one
     link's :func:`~txsecrecy.channel.hypoexp_cdf` and
     :func:`~txsecrecy.channel._any_of` forms 1 - (1 - a u)^N):
 
@@ -467,7 +473,7 @@ def esr_quadrature(scenario: Scenario, spec: SchemeSpec, epsabs: float = 1e-9) -
     sc = scenario
     n_tx, s, lam_d, rates = sc.n_transmitters, sc.s, sc.dest_rate, sc.eave_rates
     upper = math.log1p((40.0 + math.log(n_tx)) / lam_d)
-    a, p = (1.0, s) if spec.knowledge is Knowledge.BKU else (s, 1.0)
+    a, p = _thinning(spec.knowledge, s)
     if spec.scheme is Scheme.MIN_ES:
         def integrand(v):
             t = np.expm1(v)
@@ -482,7 +488,7 @@ def esr_quadrature(scenario: Scenario, spec: SchemeSpec, epsabs: float = 1e-9) -
             tail = np.exp(-lam_d * t + _log_laplace(lam_d * (t + 1.0), rates))
             return p * _any_of(tail, n_tx, a)
 
-    val, err = _adaptive_gk15(integrand, upper, epsabs, 1e-10, 1000)
+    val, err = _adaptive_gk15(integrand, upper, epsabs, 1e-10)
     if not math.isfinite(val) or err > max(1e-6, 1e-6 * abs(val)):
         raise QuadratureError(
             f"ESR quadrature did not converge for {spec.label}: value={val}, err={err}"

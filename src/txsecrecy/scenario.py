@@ -12,6 +12,7 @@ selector knows which backhaul links are active.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -120,6 +121,8 @@ class Scenario:
         K pairwise-distinct rate parameters of the eavesdropper links.
     threshold_rate : float
         Secrecy rate threshold in bits per channel use (>= 0).
+
+    Non-integer counts (bools too) and non-finite rates raise ValueError.
     """
 
     n_transmitters: int
@@ -131,10 +134,10 @@ class Scenario:
 
     def __post_init__(self):
         object.__setattr__(self, "eave_rates", tuple(float(r) for r in self.eave_rates))
-        if self.n_transmitters < 1:
-            raise ValueError("n_transmitters must be >= 1")
-        if self.n_eavesdroppers < 1:
-            raise ValueError("n_eavesdroppers must be >= 1")
+        for name in ("n_transmitters", "n_eavesdroppers"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if len(self.eave_rates) != self.n_eavesdroppers:
             raise ValueError(
                 f"expected {self.n_eavesdroppers} eavesdropper rates, "
@@ -142,12 +145,12 @@ class Scenario:
             )
         if not 0.0 < self.backhaul_reliability <= 1.0:
             raise ValueError("backhaul_reliability must be in (0, 1]")
-        if self.dest_rate <= 0.0:
-            raise ValueError("dest_rate must be positive")
-        if any(r <= 0.0 for r in self.eave_rates):
-            raise ValueError("all eave_rates must be positive")
-        if self.threshold_rate < 0.0:
-            raise ValueError("threshold_rate must be nonnegative")
+        if not 0.0 < self.dest_rate < math.inf:
+            raise ValueError(f"dest_rate must be finite and positive, got {self.dest_rate!r}")
+        if not all(0.0 < r < math.inf for r in self.eave_rates):
+            raise ValueError(f"all eave_rates must be finite and positive, got {self.eave_rates!r}")
+        if not 0.0 <= self.threshold_rate < math.inf:
+            raise ValueError(f"threshold_rate must be finite and >= 0, got {self.threshold_rate!r}")
         check_rate_separation(self.eave_rates)
 
     @property

@@ -287,6 +287,14 @@ def test_verify_rate_separation_error_prints_hint(scen_file, capsys, monkeypatch
     assert "perturb them with txsecrecy.jitter_rates" in text
 
 
+def test_verify_refuses_a_nan_snr(tmp_path, capsys):
+    p = tmp_path / "nan.ini"
+    p.write_text(SCEN.replace("dest_snr_db = 20", "dest_snr_db = nan"))
+    rc = cli.main(["verify", "--scenario", str(p), "--trials", "20000"])
+    assert rc == cli.EXIT_USAGE == 1
+    assert "dest_rate must be finite" in capsys.readouterr().err
+
+
 def test_verify_refuses_low_trials(scen_file):
     rc = cli.main(["verify", "--scenario", str(scen_file), "--trials", "5000"])
     assert rc == cli.EXIT_USAGE

@@ -19,22 +19,26 @@ from conftest import make_scenario, mp_decoupled_esr, mp_min_es_parts, mp_min_ta
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label)
 def test_closed_form_matches_definitional_quadrature(spec):
     # the expanded term tables (MIN-ES, TTS) or the Laplace transform
-    # (OTS, which has a closed form at y >= 1 only) and the unexpanded
-    # defining integrals are two independent routes to the same CDF
+    # (OTS) and the unexpanded defining integrals are two independent
+    # routes to the same CDF; closed forms exist at y >= 1 only
     sc = make_scenario(n=4, k=3, s=0.7)
     ev = RatioCdfEvaluator(sc, spec)
-    for y in (0.5, 1.0, 2.0, 7.0):
-        if spec.scheme is Scheme.OTS:
-            if y >= 1.0:
-                assert ev(y) == pytest.approx(ev._definitional(y), abs=1e-10)
-        else:
-            assert ev._closed_form(y)[0] == pytest.approx(ev._definitional(y), abs=1e-10)
+    for y in (1.0, 2.0, 7.0):
+        got = ev(y) if spec.scheme is Scheme.OTS else ev._closed_form(y)[0]
+        assert got == pytest.approx(ev._definitional(y), abs=1e-10)
 
 
 def _reference_definitional(ev, y):
-    """The defining integral by scipy's quad in t = x/(1+x), per-scheme scalar integrands."""
+    """The defining integral by scipy's quad in t = x/(1+x), per-scheme scalar integrands.
+
+    The integrands vanish below x0 = max(0, 1/y - 1), where the quad
+    starts.  A slot whose pick is not delivered has ratio 0 in every
+    case: the atom 1 - s (BKU) or (1 - s)^N (BKA) counts at every y > 0.
+    """
     sc, spec = ev.scenario, ev.spec
     lam_d, s, n_tx = sc.dest_rate, sc.s, sc.n_transmitters
+    x0 = max(0.0, 1.0 / y - 1.0)
+    t0 = x0 / (1.0 + x0)
     w = channel.hypoexp_weights(sc.eave_rates)
 
     def eave_pdf(x):
@@ -57,29 +61,32 @@ def _reference_definitional(ev, y):
                 return fd * n_tx * (1.0 - s + s * eave_sf(x)) ** (n_tx - 1) * eave_pdf(x)
             atom, scale = (1.0 - s) ** n_tx, s
     elif spec.scheme is Scheme.TTS:
+        # the delivered best destination SNR is below v
         if spec.knowledge is Knowledge.BKU:
             def dest_cdf(v):
-                return (1.0 - s) + s * (-math.expm1(-lam_d * v)) ** n_tx
+                return (-math.expm1(-lam_d * v)) ** n_tx
+            atom, scale = 1.0 - s, s
         else:
             def dest_cdf(v):
-                return ((1.0 - s) + s * (-math.expm1(-lam_d * v))) ** n_tx
+                return ((1.0 - s) + s * (-math.expm1(-lam_d * v))) ** n_tx - (1.0 - s) ** n_tx
+            atom, scale = (1.0 - s) ** n_tx, 1.0
 
         def integrand(x):
             v = y * (x + 1.0) - 1.0
             return dest_cdf(v) * eave_pdf(x) if v > 0 else 0.0
-        atom, scale = 0.0, 1.0
     else:
         def single(x):
             v = y * (x + 1.0) - 1.0
             return (-math.expm1(-lam_d * v)) * eave_pdf(x) if v > 0 else 0.0
 
-        g, _ = quad(lambda t: single(t / (1 - t)) / (1 - t) ** 2, 0.0, 1.0,
+        g, _ = quad(lambda t: single(t / (1 - t)) / (1 - t) ** 2, t0, 1.0,
                     epsabs=0.0, epsrel=1e-12, limit=500)
         if spec.knowledge is Knowledge.BKU:
             return (1.0 - s) + s * g**n_tx
-        return ((1.0 - s) * eave_sf(max(0.0, 1.0 / y - 1.0)) + s * g) ** n_tx
+        # each link is inactive, or active with ratio at most y
+        return ((1.0 - s) + s * g) ** n_tx
 
-    val, _ = quad(lambda t: integrand(t / (1 - t)) / (1 - t) ** 2, 0.0, 1.0,
+    val, _ = quad(lambda t: integrand(t / (1 - t)) / (1 - t) ** 2, t0, 1.0,
                   epsabs=0.0, epsrel=1e-12, limit=500)
     return atom + scale * val
 
@@ -102,9 +109,10 @@ def test_definitional_matches_scalar_quad_reference(args, spec):
 @pytest.mark.parametrize("spec", [SchemeSpec(Scheme.TTS, kn) for kn in Knowledge],
                          ids=lambda s: s.label)
 def test_definitional_sees_the_integrand_at_small_y(spec):
-    # the integrand is zero below x0 = 1/y - 1 = 499; the integral starts there
-    sc = make_scenario(n=4, k=3, s=0.7)
-    want = RatioCdfEvaluator(sc, spec)._closed_form(0.002)[0]
+    # the integrand is zero below x0 = 1/y - 1 = 499; the integral starts
+    # there.  At s = 1 no slot is undelivered, so F has no atom
+    sc = make_scenario(n=4, k=3, s=1.0)
+    want = _reference_definitional(RatioCdfEvaluator(sc, spec), 0.002)
     assert 0.0 < want < 1e-8
     assert tx.ratio_cdf(sc, spec, 0.002) == pytest.approx(want, rel=1e-12, abs=0.0)
 
@@ -386,13 +394,17 @@ def test_ots_deep_tail_keeps_the_closed_form(kn, monkeypatch):
 
 
 @pytest.mark.parametrize("kn", list(Knowledge), ids=lambda k: k.name)
-def test_ots_below_one_is_the_definitional_integral(kn):
-    # OTS has no closed form below y = 1, which only ratio_cdf reaches
-    sc = tx.scenario_from_db(30, 2, 1.0, 60.0, (6.0, 8.0))
-    ev = RatioCdfEvaluator(sc, SchemeSpec(Scheme.OTS, kn))
-    want = ev._definitional(0.1)
-    assert 0.0 < want < 1e-190
-    assert ev(0.1) == want
+def test_ots_below_one_is_the_definitional_integral(kn, monkeypatch):
+    # no scheme takes a closed form below y = 1, which only ratio_cdf
+    # reaches; OTS at N = 30, s = 1, 60 dB has F below 1e-190 at y = 0.1
+    deep = tx.scenario_from_db(30, 2, 1.0, 60.0, (6.0, 8.0))
+    assert 0.0 < RatioCdfEvaluator(deep, SchemeSpec(Scheme.OTS, kn))._definitional(0.1) < 1e-190
+    monkeypatch.setattr(RatioCdfEvaluator, "_closed_form", lambda self, y: pytest.fail("closed form"))
+    for sc in (deep, make_scenario(n=4, k=3, s=0.6)):
+        for scheme in Scheme:
+            ev = RatioCdfEvaluator(sc, SchemeSpec(scheme, kn))
+            for y in (0.1, 0.5, 0.99):
+                assert ev(y) == ev._definitional(y)
 
 
 @pytest.mark.parametrize("kn", list(Knowledge), ids=lambda k: k.name)
@@ -405,6 +417,54 @@ def test_ots_sop_at_110db_matches_mpmath(kn):
         want = float(_mp_ots_cdf(sc, kn, _mp_ots_tail(sc, sc.rho, mp), mp))
     got = tx.sop(sc, SchemeSpec(Scheme.OTS, kn))
     assert abs(got - want) <= 1e-12 * want, (got, want)
+
+
+@pytest.mark.parametrize("kn", list(Knowledge), ids=lambda k: k.name)
+def test_ots_nzsr_keeps_its_relative_accuracy_near_zero(kn):
+    # N = 5, K = 6 (6..16 dB), s = 0.5, 0 dB: NZSR is 3.5e-7, and 1 - F(1)
+    # formed by subtraction was 3.6e-10 (BKU) and 5.3e-10 (BKA) relative off
+    mp = pytest.importorskip("mpmath")
+    sc = tx.scenario_from_db(5, 6, 0.5, 0.0, tuple(6.0 + 2.0 * i for i in range(6)))
+    with mp.workdps(40):
+        want = float(1 - _mp_ots_cdf(sc, kn, _mp_ots_tail(sc, 1, mp), mp))
+    got = tx.nzsr(sc, SchemeSpec(Scheme.OTS, kn))
+    assert abs(got - want) <= 1e-13 * want, (got, want)
+
+
+def test_one_transmitter_makes_every_case_one_system():
+    # with N = 1 there is nothing to select and knowing the backhaul
+    # changes no pick, so all six cases are one system with one F
+    for k in (1, 3):
+        for s in (0.3, 0.6, 1.0):
+            for db in (0.0, 10.0, 30.0):
+                sc = make_scenario(n=1, k=k, s=s, dest_db=db)
+                for y in (0.05, 0.15, 0.3, 0.5, 0.9, 1.0, 1.5, 3.0, 7.0):
+                    vals = [tx.ratio_cdf(sc, spec, y) for spec in ALL_SPECS]
+                    assert max(vals) - min(vals) <= 1e-12, (k, s, db, y, vals)
+
+
+def test_ratio_cdf_below_one_matches_simulation():
+    # a literal simulation of the selected ratio (1 + D) / (1 + E), 0 where
+    # the pick is not delivered: BKU picks among all links and its pick's
+    # backhaul may be down, BKA picks among the active links only
+    sc = make_scenario(n=3, k=3, s=0.6, dest_db=10.0)
+    trials, n = 400_000, sc.n_transmitters
+    rng = np.random.default_rng(2020)
+    d = rng.exponential(1.0 / sc.dest_rate, (trials, n))
+    e = sum(rng.exponential(1.0 / r, (trials, n)) for r in sc.eave_rates)
+    up = rng.random((trials, n)) < sc.s
+    ratio = (1.0 + d) / (1.0 + e)
+    rows = np.arange(trials)
+    for spec in ALL_SPECS:
+        score = {Scheme.MIN_ES: -e, Scheme.TTS: d, Scheme.OTS: ratio}[spec.scheme]
+        if spec.knowledge is Knowledge.BKA:
+            score = np.where(up, score, -np.inf)
+        pick = score.argmax(axis=1)
+        selected = np.where(up[rows, pick], ratio[rows, pick], 0.0)
+        for y in (0.15, 0.3, 0.5):
+            f = tx.ratio_cdf(sc, spec, y)
+            hat = np.count_nonzero(selected <= y) / trials
+            assert abs(hat - f) <= 5.0 * math.sqrt(f * (1.0 - f) / trials), (spec.label, y, hat, f)
 
 
 @pytest.mark.parametrize("k", (3, 4))
@@ -513,7 +573,7 @@ def test_streamed_parts_match_concatenated_table_exactly(scheme, kn):
     ev = RatioCdfEvaluator(sc, spec)
     coeffs, lams, bs = _concatenated_table(sc, spec)
     assert _flat_terms(ev) == list(zip(coeffs, lams, bs))
-    for y in (0.25, 0.9, 1.0, 1.5, 2.0, 7.0, 40.0):
+    for y in (1.0, 1.5, 2.0, 7.0, 40.0):
         if scheme is Scheme.MIN_ES:
             atom = 1.0 - sc.s if kn is Knowledge.BKU else (1.0 - sc.s) ** 12
             want = atom + math.fsum(
