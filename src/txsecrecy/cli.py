@@ -192,34 +192,41 @@ def _apply_variable(scenario: Scenario, variable: str, x: float) -> Scenario:
     raise ValueError(f"unknown sweep variable {variable!r}")
 
 
-def _exact_value(scenario: Scenario, spec: SchemeSpec, metric: str) -> float:
+def _exact_value(scenario: Scenario, spec: SchemeSpec, metric: str, ots_esr: dict) -> float:
     if metric == "sop":
         return metrics.sop(scenario, spec)
     if metric == "nzsr":
         return metrics.nzsr(scenario, spec)
     if spec.scheme is Scheme.OTS:
-        return metrics.esr_quadrature(scenario, spec)
+        return metrics._esr_bits(*ots_esr[spec][scenario], spec)
     return metrics.esr_closed_form(scenario, spec)
 
 
 def run_sweep(scenario: Scenario, sweep: SweepSpec, out: Path,
               mc: McConfig | None = None, fmt: str = "csv") -> int:
-    """Evaluate the sweep and write one curve file; returns an exit code."""
+    """Evaluate the sweep and write one curve file; returns an exit code.
+
+    Each OTS ESR column is one :func:`~txsecrecy.metrics._esr_rows` call; a row fails its cell only.
+    """
     want_asym = "asymptote" in sweep.outputs
     metric_names = [m for m in ("sop", "nzsr", "esr") if m in sweep.outputs]
     if not metric_names:
         print("sweep outputs select no metric", file=sys.stderr)
         return EXIT_USAGE
 
-    rows = []
-    failures = 0
+    scenarios, failures = {}, 0
     for x in sweep.grid():
         try:
-            sc_x = _apply_variable(scenario, sweep.variable, x)
+            scenarios[x] = _apply_variable(scenario, sweep.variable, x)
         except (ValueError, TxSecrecyError) as exc:
             print(f"x={x}: {exc}", file=sys.stderr)
             failures += 1
-            continue
+    ots_esr = {  # spec -> scenario -> (value, error) of its row
+        spec: dict(zip(scenarios.values(), zip(*metrics._esr_rows(list(scenarios.values()), spec))))
+        for spec in sweep.specs if spec.scheme is Scheme.OTS and "esr" in metric_names and scenarios
+    }
+    rows = []
+    for x, sc_x in scenarios.items():
         mc_ests = estimate_many(sc_x, sweep.specs, mc) if mc is not None else {}
         for spec in sweep.specs:
             mc_est = mc_ests.get(spec)
@@ -229,7 +236,7 @@ def run_sweep(scenario: Scenario, sweep: SweepSpec, out: Path,
                     "metric": metric, "exact": "", "asymptote": "", "mc_mean": "", "mc_stderr": "",
                 }
                 try:
-                    row["exact"] = repr(_exact_value(sc_x, spec, metric))
+                    row["exact"] = repr(_exact_value(sc_x, spec, metric, ots_esr))
                     if want_asym:
                         if metric == "sop":
                             row["asymptote"] = repr(asymptotics.sop_asymptote(sc_x, spec).value)

@@ -11,13 +11,14 @@ MIN-ES and TTS (:func:`esr_closed_form`) or integrated
 (:func:`esr_quadrature`, all schemes).
 
 Every integral in the library runs on one vectorized adaptive
-Gauss-Kronrod 7/15 rule; its callers raise :class:`QuadratureError`
-rather than return an unconverged value.  Every MIN-ES and TTS closed
-form is taken only while its rounding bound is at most 1e-6 of the value
-(of min(F, 1 - F) for SOP and NZSR), and a MIN-ES table only up to 300
-terms (above that none is built); elsewhere F is one integral of F_D against
-the density of the selected eavesdropping SNR,
-:func:`_min_eave_integral`, at any N, and the ESR is the quadrature.
+Gauss-Kronrod 7/15 rule, of one row or of index-aligned rows (a sweep's
+OTS ESR column), in integrand calls of at most 2,048 nodes; its callers
+raise :class:`QuadratureError` rather than return an unconverged value.
+Every MIN-ES and TTS closed form is taken only while its rounding bound
+is at most 1e-6 of the value (of min(F, 1 - F) for SOP and NZSR), and a
+MIN-ES table only up to 300 terms (above that none is built); elsewhere
+F is one integral of F_D against the density of the selected eavesdropping
+SNR, :func:`_min_eave_integral`, at any N, and the ESR is the quadrature.
 MIN-ES picks its link by the eavesdroppers alone and TTS by the
 destination alone, so their selected destination and eavesdropping SNRs
 are independent and the ESR integrand is a product of two nonnegative
@@ -72,9 +73,14 @@ _ROUNDING_SHARE = 1e-6
 #: a start as fine as most integrals need saves the five or six steps a
 #: single interval takes to reach it (16 and 64 pieces timed no better).
 _GK15_START_PIECES = 32
+#: Their ends j/32; as u/32 is exact too, u times it is np.linspace(0, u, 33).
+_GK15_START_EDGES = np.arange(_GK15_START_PIECES + 1) / _GK15_START_PIECES
 
 #: Intervals past which :func:`_adaptive_gk15` stops bisecting.
 _GK15_MAX_PIECES = 1000
+
+#: Most nodes per integrand call (a 31-point sweep column starts in eight).
+_GK15_BLOCK_NODES = 2048
 
 #: QUADPACK's Gauss-Kronrod 7/15 rule on [-1, 1]: the 15 Kronrod nodes in
 #: increasing order with their weights; the 7 Gauss nodes are the odd
@@ -124,8 +130,8 @@ class RatioCdfEvaluator:
     """Evaluates F(y) of the post-selection SNR ratio for one scenario+scheme.
 
     Backhaul enters by (a, p) of :func:`~txsecrecy.channel._thinning`.  A
-    slot whose pick is not delivered has ratio 0, so for y > 0
-    F(y) >= atom = (1-p) + p (1-a)^N; y <= 0 gives 0.  At y >= 1 MIN-ES
+    slot whose pick is not delivered has ratio 0, so F(0) = atom =
+    (1-p) + p (1-a)^N <= F(y) for y > 0; y < 0 gives 0.  At y >= 1 MIN-ES
     and TTS read one term table: a short tuple of parts (weight, coeffs,
     lams, b), where every term of a part has c_i = weight * coeffs[i],
     rate lam_i = lams[i] and the same destination rate multiple b.  Each
@@ -273,7 +279,7 @@ class RatioCdfEvaluator:
         an unconverged value.
         """
         if y <= 0.0:
-            return 0.0
+            return self._atom if y == 0.0 else 0.0
         sc, scheme = self.scenario, self.spec.scheme
         if y < 1.0 or (scheme is Scheme.MIN_ES and not self._expand):
             val = self._definitional(y)
@@ -291,8 +297,8 @@ class RatioCdfEvaluator:
 def ratio_cdf(scenario: Scenario, spec: SchemeSpec, y: float) -> float:
     """CDF of the post-selection secrecy SNR ratio at ``y``.
 
-    An undelivered slot has ratio 0 in every scheme, so F(y) >= 1 - s
-    (BKU) or (1 - s)^N (BKA) for y > 0; y <= 0 gives 0.
+    An undelivered slot has ratio 0 in every scheme, so F(y) >= F(0) =
+    1 - s (BKU) or (1 - s)^N (BKA) for y >= 0; y < 0 gives 0.
     """
     return RatioCdfEvaluator(scenario, spec)(y)
 
@@ -363,52 +369,68 @@ def _esr_term_sum(scenario: Scenario, spec: SchemeSpec) -> float | None:
 
 
 def _gk15(f, lo: np.ndarray, hi: np.ndarray) -> tuple:
-    """Kronrod value and QUADPACK error estimate of f on each [lo_i, hi_i].
+    """Kronrod value and QUADPACK error estimate of f on each piece [lo, hi] of (M, P) rows.
 
-    f maps a 1-D array of points to the array of its values; all 15
-    nodes of every interval go to it in one call.
+    f maps (M, n) points, row i on row i's pieces, to their values; it gets whole pieces
+    of every row, at most :data:`_GK15_BLOCK_NODES` nodes a call.  No value depends on it.
     """
+    rows, pieces = lo.shape
+    step = max(1, _GK15_BLOCK_NODES // (15 * rows))
+    if pieces > step:
+        blocks = [_gk15(f, lo[:, j:j + step], hi[:, j:j + step]) for j in range(0, pieces, step)]
+        return tuple(np.concatenate(part, axis=1) for part in zip(*blocks))
     half = 0.5 * (hi - lo)
-    nodes = (0.5 * (lo + hi))[:, None] + half[:, None] * _GK15_NODES
-    fx = f(nodes.ravel()).reshape(nodes.shape)
-    kronrod = (fx * _GK15_WEIGHTS).sum(axis=1)
-    gauss = (fx[:, 1::2] * _G7_WEIGHTS).sum(axis=1)
-    asc = (np.abs(fx - 0.5 * kronrod[:, None]) * _GK15_WEIGHTS).sum(axis=1)
+    nodes = (0.5 * (lo + hi))[..., None] + half[..., None] * _GK15_NODES
+    fx = f(nodes.reshape(rows, -1)).reshape(nodes.shape)
+    # ufunc reduces: the ndarray sum/max/any methods add a Python call each
+    kronrod = np.add.reduce(fx * _GK15_WEIGHTS, axis=-1)
+    gauss = np.add.reduce(fx[..., 1::2] * _G7_WEIGHTS, axis=-1)
+    asc = np.add.reduce(np.abs(fx - 0.5 * kronrod[..., None]) * _GK15_WEIGHTS, axis=-1)
     diff = np.abs(kronrod - gauss)
     # smaller than |K - G| once the rule has resolved f; 0 where f is flat
     err = asc * np.minimum(1.0, (200.0 * diff / np.where(asc > 0, asc, 1.0)) ** 1.5)
     return kronrod * half, err * half
 
 
-def _adaptive_gk15(f, upper: float, epsabs: float, epsrel: float) -> tuple:
+def _adaptive_gk15(f, upper, epsabs: float, epsrel: float) -> tuple:
     """Globally adaptive GK15 integral of f over [0, upper]: (value, error estimate).
 
-    Starts from :data:`_GK15_START_PIECES` equal intervals, evaluated in
-    one call.  Each step bisects every interval whose error exceeds its
-    length's share of the tolerance (and always the worst one) and
-    evaluates all the new intervals in one call, until the summed error
-    meets max(epsabs, epsrel |value|) or another step would pass
-    :data:`_GK15_MAX_PIECES` intervals.
+    For an array ``upper`` of M ends, row i of f's (M, n) points (see
+    :func:`_gk15`) runs over [0, upper_i] and the results are arrays; a float
+    ``upper`` is the one-row case, f on 1-D arrays.  Rows start from
+    :data:`_GK15_START_PIECES` equal, index-aligned intervals; each step
+    bisects every interval that an unconverged row would (error above its
+    length's share of the row's tolerance, or its worst).  A row's value is
+    fixed once its summed error meets max(epsabs, epsrel |value|), or at the
+    last step before :data:`_GK15_MAX_PIECES` intervals.
     """
-    edges = np.linspace(0.0, upper, _GK15_START_PIECES + 1)
-    lo, hi = edges[:-1], edges[1:]
-    val, err = _gk15(f, lo, hi)
+    one_row = isinstance(upper, float)
+    col, g = (np.array([[upper]]), lambda x: f(x[0])[None]) if one_row else (upper[:, None], f)
+    edges = _GK15_START_EDGES * col
+    lo, hi = edges[:, :-1], edges[:, 1:]
+    val, err = _gk15(g, lo, hi)
+    todo, total, total_err = list(range(len(col))), [0.0] * len(col), [0.0] * len(col)
     while True:
-        total, total_err = float(val.sum()), float(err.sum())
-        tol = max(epsabs, epsrel * abs(total))
-        if not math.isfinite(total_err) or total_err <= tol:
+        sums, sums_err = np.add.reduce(val, axis=1).tolist(), np.add.reduce(err, axis=1).tolist()
+        tol = [max(epsabs, epsrel * abs(s)) for s in sums]
+        for i in todo:
+            total[i], total_err[i] = sums[i], sums_err[i]
+        todo = [i for i in todo if math.isfinite(sums_err[i]) and sums_err[i] > tol[i]]
+        if not todo:
             break
-        split = (err * upper > tol * (hi - lo)) | (err == err.max())
-        if lo.size + np.count_nonzero(split) > _GK15_MAX_PIECES:
+        want = ((err * col > np.array(tol)[:, None] * (hi - lo))
+                | (err == np.maximum.reduce(err, axis=1, keepdims=True)))
+        split = np.logical_or.reduce(want if len(todo) == len(col) else want[todo])
+        if lo.shape[1] + np.count_nonzero(split) > _GK15_MAX_PIECES:
             break
-        mid = 0.5 * (lo[split] + hi[split])
-        new_lo = np.concatenate((lo[split], mid))
-        new_hi = np.concatenate((mid, hi[split]))
-        new_val, new_err = _gk15(f, new_lo, new_hi)
-        keep = ~split
-        lo, hi = np.concatenate((lo[keep], new_lo)), np.concatenate((hi[keep], new_hi))
-        val, err = np.concatenate((val[keep], new_val)), np.concatenate((err[keep], new_err))
-    return total, total_err
+        cut, keep = split.nonzero()[0], (~split).nonzero()[0]
+        lo_cut, hi_cut = lo.take(cut, axis=1), hi.take(cut, axis=1)
+        mid = 0.5 * (lo_cut + hi_cut)
+        new_lo, new_hi = (np.concatenate(pair, axis=1) for pair in ((lo_cut, mid), (mid, hi_cut)))
+        new = (new_lo, new_hi, *_gk15(g, new_lo, new_hi))
+        lo, hi, val, err = (np.concatenate((old.take(keep, axis=1), add), axis=1)
+                            for old, add in zip((lo, hi, val, err), new))
+    return (total[0], total_err[0]) if one_row else (np.array(total), np.array(total_err))
 
 
 def _min_eave_integral(rates: tuple, n: int, a: float, phi, x0: float = 0.0) -> float:
@@ -463,17 +485,24 @@ def esr_quadrature(scenario: Scenario, spec: SchemeSpec, epsabs: float = 1e-9) -
     its eavesdropping SNR, which reads no weights.  The selected
     destination SNR is at most the best of N exponential links, so the
     integrand is at most N e^{-lambda_D t} and the range stops at
-    V = ln(1 + (40 + ln N)/lambda_D), where that is e^-40.  Every node
-    of a refinement step goes to the integrand in one call of the
-    vectorized globally adaptive Gauss-Kronrod 7/15 rule (targets
-    ``epsabs`` and 1e-10 relative, at most 1,000 subintervals).  Raises
+    V = ln(1 + (40 + ln N)/lambda_D), where that is e^-40.  It is the
+    one-row case of :func:`_esr_rows`, which a sweep calls with a row per
+    point (same bits), on the adaptive GK15 rule (targets ``epsabs`` and
+    1e-10 relative, at most 1,000 subintervals).  Raises
     :class:`QuadratureError` when the error estimate exceeds
     max(1e-6, 1e-6 |value|) or the value is not finite.
     """
-    sc = scenario
-    n_tx, s, lam_d, rates = sc.n_transmitters, sc.s, sc.dest_rate, sc.eave_rates
-    upper = math.log1p((40.0 + math.log(n_tx)) / lam_d)
-    a, p = _thinning(spec.knowledge, s)
+    (val,), (err,) = _esr_rows((scenario,), spec, epsabs)
+    return _esr_bits(val, err, spec)
+
+
+def _esr_rows(scenarios, spec: SchemeSpec, epsabs: float = 1e-9) -> tuple:
+    """Values (nats) and errors of :func:`esr_quadrature`'s integral, rows sharing eave_rates."""
+    rates = scenarios[0].eave_rates
+    n_tx, lam_d, a, p, upper = np.array([
+        (sc.n_transmitters, sc.dest_rate, *_thinning(spec.knowledge, sc.s),
+         math.log1p((40.0 + math.log(sc.n_transmitters)) / sc.dest_rate)) for sc in scenarios
+    ]).T[..., None]
     if spec.scheme is Scheme.MIN_ES:
         def integrand(v):
             t = np.expm1(v)
@@ -488,9 +517,13 @@ def esr_quadrature(scenario: Scenario, spec: SchemeSpec, epsabs: float = 1e-9) -
             tail = np.exp(-lam_d * t + _log_laplace(lam_d * (t + 1.0), rates))
             return p * _any_of(tail, n_tx, a)
 
-    val, err = _adaptive_gk15(integrand, upper, epsabs, 1e-10)
+    return _adaptive_gk15(integrand, upper[:, 0], epsabs, 1e-10)
+
+
+def _esr_bits(val: float, err: float, spec: SchemeSpec) -> float:
+    """One row of :func:`_esr_rows` in bits, or :class:`QuadratureError` unless it converged."""
     if not math.isfinite(val) or err > max(1e-6, 1e-6 * abs(val)):
         raise QuadratureError(
             f"ESR quadrature did not converge for {spec.label}: value={val}, err={err}"
         )
-    return max(val / LN2, 0.0)
+    return max(float(val) / LN2, 0.0)

@@ -138,7 +138,9 @@ def test_definitional_refuses_an_unconverged_integral(monkeypatch, result):
 def test_ratio_cdf_limits(spec):
     sc = make_scenario()
     ev = RatioCdfEvaluator(sc, spec)
-    assert ev(0.0) == 0.0
+    # an undelivered slot has ratio exactly 0: P(ratio <= 0) is the atom
+    atom = 1.0 - sc.s if spec.knowledge is Knowledge.BKU else (1.0 - sc.s) ** sc.n_transmitters
+    assert ev(0.0) == atom > 0.0
     assert ev(-3.0) == 0.0
     assert ev(1e9) == pytest.approx(1.0, abs=1e-6)
 

@@ -46,7 +46,7 @@ def _recorded_integral(monkeypatch, run):
     gk15, adaptive = metrics._gk15, metrics._adaptive_gk15
 
     def recording_gk15(f, lo, hi):
-        intervals.extend(zip(lo.tolist(), hi.tolist()))
+        intervals.extend(zip(lo.ravel().tolist(), hi.ravel().tolist()))
         return gk15(f, lo, hi)
 
     def recording_adaptive(*args):
